@@ -4,7 +4,8 @@
 //
 // The builder is append-only and supports flat fields plus one level of
 // array-of-objects nesting — all the bench schema needs. Keys are emitted in
-// insertion order so diffs between runs stay line-stable.
+// insertion order so diffs between runs stay line-stable. The peak-RSS
+// helpers below feed the benches' memory fields.
 #pragma once
 
 #include <cstdint>
@@ -132,5 +133,31 @@ class BenchJson {
   std::string out_;
   std::vector<bool> stack_;  // need-comma flag per nesting level
 };
+
+// Reset the kernel's peak-RSS watermark to the current RSS. Returns false
+// when /proc/self/clear_refs is unavailable (non-Linux, restricted
+// container); callers then report peak-since-process-start instead.
+inline bool reset_peak_rss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fputs("5", f) >= 0;
+  return (std::fclose(f) == 0) && ok;
+}
+
+// Peak RSS (VmHWM) in bytes from /proc/self/status; 0 when unreadable.
+inline std::uint64_t read_peak_rss_bytes() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  std::uint64_t kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %llu kB",
+                    reinterpret_cast<unsigned long long*>(&kb)) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb * 1024;
+}
 
 }  // namespace dnsboot::bench

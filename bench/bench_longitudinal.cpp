@@ -1,17 +1,23 @@
 // bench_longitudinal — throughput of the continuous monitoring service
-// (DESIGN.md §15): end-to-end transitions/sec over a live monitored world,
-// journal replay (recover + decode + crc verify) records/sec over a
-// synthetic journal, and steady-state peak RSS of the monitor run.
+// (DESIGN.md §15) over one live world driven by the KASP policy clock
+// (DESIGN.md §16): how fast the clock scripts the population's RFC 7583
+// schedule (pure CPU: per-zone policy jitter + scenario placement),
+// end-to-end transitions/sec and applied key events/sec of the monitor run
+// (each event re-signs a zone and may drive registry DS churn), its
+// steady-state peak RSS, and journal replay (recover + decode + crc verify)
+// records/sec over a synthetic journal.
 //
 // Usage:
 //   bench_longitudinal [--scale-denom N] [--seed S] [--sim-days D]
 //                      [--journal-records N] [--json PATH]
 //                      [--fail-if-slower] [--min-replay-rate R]
+//                      [--min-script-rate R] [--min-event-rate R]
 //
-// --fail-if-slower is the CI smoke gate: the run fails when the journal
-// replay rate drops below --min-replay-rate records/sec (replay speed is
-// what bounds restart time after a crash, so it is the regression that
-// hurts first) or when the live run produced no transitions at all.
+// Any run fails when a scripted step fails to apply or replay loses a
+// record. --fail-if-slower is the CI smoke gate on top: the run also fails
+// when the live run produced no transitions, or when journal replay (what
+// bounds restart time after a crash), schedule scripting or live key events
+// fall below their --min-*-rate thresholds.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -19,7 +25,7 @@
 
 #include "bench_json.hpp"
 #include "ecosystem/plan.hpp"
-#include "longitudinal/lifecycle.hpp"
+#include "kasp/clock.hpp"
 #include "longitudinal/monitor.hpp"
 #include "tools/cli.hpp"
 
@@ -27,45 +33,31 @@ namespace {
 
 using namespace dnsboot;
 
-// Reset the kernel's peak-RSS watermark to the current RSS (bench_throughput
-// idiom). Returns false when /proc/self/clear_refs is unavailable.
-bool reset_peak_rss() {
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs("5", f) >= 0;
-  return (std::fclose(f) == 0) && ok;
-}
-
-std::uint64_t read_peak_rss_bytes() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  std::uint64_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %llu kB",
-                    reinterpret_cast<unsigned long long*>(&kb)) == 1) {
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb * 1024;
-}
-
 struct LiveRun {
   std::uint64_t zones = 0;
+  std::uint64_t planned = 0;
+  std::uint64_t applied = 0;
+  std::uint64_t failed = 0;
   std::uint64_t probes = 0;
   std::uint64_t batches = 0;
   std::uint64_t transitions = 0;
   std::size_t kinds = 0;
-  double wall_ms = 0;
+  double script_wall_ms = 0;  // PolicyClock construction (scheduling only)
+  double live_wall_ms = 0;    // monitor run with the clock armed
   std::uint64_t peak_rss_bytes = 0;
   bool rss_reset_ok = false;
 
+  double script_steps_per_sec() const {
+    return script_wall_ms > 0 ? planned / (script_wall_ms / 1000.0) : 0.0;
+  }
+  double key_events_per_sec() const {
+    return live_wall_ms > 0 ? applied / (live_wall_ms / 1000.0) : 0.0;
+  }
   double transitions_per_sec() const {
-    return wall_ms > 0 ? transitions / (wall_ms / 1000.0) : 0.0;
+    return live_wall_ms > 0 ? transitions / (live_wall_ms / 1000.0) : 0.0;
   }
   double probes_per_sec() const {
-    return wall_ms > 0 ? probes / (wall_ms / 1000.0) : 0.0;
+    return live_wall_ms > 0 ? probes / (live_wall_ms / 1000.0) : 0.0;
   }
 };
 
@@ -82,27 +74,37 @@ LiveRun run_live(double scale_denom, std::uint64_t seed,
   resolver::QueryEngine registry_engine(
       network, net::IpAddress::v4({192, 0, 2, 252}), {});
   resolver::DelegationResolver registry_resolver(registry_engine, eco.hints);
-  longitudinal::LifecycleOptions lifecycle_options;
-  lifecycle_options.seed = seed;
-  lifecycle_options.horizon = sim_days_usec;
-  longitudinal::LifecycleDriver lifecycle(network, registry_engine,
-                                          registry_resolver, eco,
-                                          lifecycle_options);
+  kasp::KaspOptions kasp_options;
+  kasp_options.seed = seed;
+  kasp_options.horizon = sim_days_usec;
+
+  LiveRun run;
+  run.zones = eco.scan_targets.size();
+
+  const auto script_start = std::chrono::steady_clock::now();
+  kasp::PolicyClock clock(network, registry_engine, registry_resolver, eco,
+                          kasp_options);
+  const auto script_end = std::chrono::steady_clock::now();
+  run.script_wall_ms =
+      std::chrono::duration<double, std::milli>(script_end - script_start)
+          .count();
+  run.planned = clock.planned_steps();
 
   longitudinal::MonitorOptions options;
   options.seed = seed;
   options.horizon = sim_days_usec;
-  longitudinal::Monitor monitor(network, eco, options, &lifecycle);
+  longitudinal::Monitor monitor(network, eco, options, &clock);
 
-  LiveRun run;
-  run.zones = eco.scan_targets.size();
-  run.rss_reset_ok = reset_peak_rss();
+  run.rss_reset_ok = bench::reset_peak_rss();
   const auto start = std::chrono::steady_clock::now();
   if (!monitor.start().ok()) return run;
   monitor.run();
   const auto end = std::chrono::steady_clock::now();
-  run.peak_rss_bytes = read_peak_rss_bytes();
-  run.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
+  run.live_wall_ms =
+      std::chrono::duration<double, std::milli>(end - start).count();
+  run.peak_rss_bytes = bench::read_peak_rss_bytes();
+  run.applied = clock.applied();
+  run.failed = clock.failed();
   run.probes = monitor.probes_completed();
   run.batches = monitor.batches_run();
   run.transitions = monitor.reporter().transitions();
@@ -160,17 +162,20 @@ ReplayRun run_replay(std::uint64_t records) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double scale_denom = 200000;
+  double scale_denom = 400000;
   std::uint64_t seed = 1;
-  std::uint64_t sim_days_usec = 5 * cli::kUsecPerDay;
+  std::uint64_t sim_days_usec = 10 * cli::kUsecPerDay;
   std::uint64_t journal_records = 50000;
   std::string json_path;
   bool fail_if_slower = false;
   double min_replay_rate = 50000;  // records/sec
+  double min_script_rate = 50;     // steps/sec scripted
+  double min_event_rate = 1;       // applied key events/sec
 
   cli::FlagParser parser(
-      "bench_longitudinal — monitor transitions/sec, journal replay "
-      "records/sec, steady-state RSS");
+      "bench_longitudinal — KASP schedule scripting steps/sec, monitor "
+      "transitions/sec and key events/sec, journal replay records/sec, "
+      "steady-state RSS");
   parser.value("--scale-denom", &scale_denom, "world scale divisor", 1e-9);
   parser.value("--seed", &seed, "world + schedule seed");
   parser.duration("--sim-days", &sim_days_usec, cli::kUsecPerDay,
@@ -179,11 +184,15 @@ int main(int argc, char** argv) {
                "synthetic journal size for the replay measurement", 1);
   parser.value("--json", &json_path, "FILE", "write BENCH_longitudinal.json");
   parser.flag("--fail-if-slower", &fail_if_slower,
-              "exit non-zero when replay rate < --min-replay-rate or the "
-              "live run saw no transitions",
+              "exit non-zero when the live run saw no transitions or a rate "
+              "falls below its --min-*-rate threshold",
               true);
   parser.value("--min-replay-rate", &min_replay_rate,
                "replay gate threshold, records/sec", 1.0);
+  parser.value("--min-script-rate", &min_script_rate,
+               "schedule scripting gate, steps/sec", 1.0);
+  parser.value("--min-event-rate", &min_event_rate,
+               "live key-event gate, events/sec", 1e-3);
   if (!parser.parse(argc, argv)) return 2;
   if (parser.help_requested()) return 0;
 
@@ -193,14 +202,22 @@ int main(int argc, char** argv) {
                   static_cast<double>(cli::kUsecPerDay));
 
   const LiveRun live = run_live(scale_denom, seed, sim_days_usec);
+  std::printf("script: %llu zones  %llu steps in %.1f ms  %.0f steps/s\n",
+              static_cast<unsigned long long>(live.zones),
+              static_cast<unsigned long long>(live.planned),
+              live.script_wall_ms, live.script_steps_per_sec());
   std::printf(
-      "live:   %llu zones  %llu probes (%llu batches)  %llu transitions "
-      "(%zu kinds)  %.1f ms  %.1f trans/s  %.0f probes/s  %.1f MiB peak%s\n",
-      static_cast<unsigned long long>(live.zones),
+      "live:   %llu/%llu key events (%llu failed)  %llu probes (%llu "
+      "batches)  %llu transitions (%zu kinds)  %.1f ms  %.2f events/s  "
+      "%.1f trans/s  %.0f probes/s  %.1f MiB peak%s\n",
+      static_cast<unsigned long long>(live.applied),
+      static_cast<unsigned long long>(live.planned),
+      static_cast<unsigned long long>(live.failed),
       static_cast<unsigned long long>(live.probes),
       static_cast<unsigned long long>(live.batches),
       static_cast<unsigned long long>(live.transitions), live.kinds,
-      live.wall_ms, live.transitions_per_sec(), live.probes_per_sec(),
+      live.live_wall_ms, live.key_events_per_sec(), live.transitions_per_sec(),
+      live.probes_per_sec(),
       static_cast<double>(live.peak_rss_bytes) / (1024.0 * 1024.0),
       live.rss_reset_ok ? "" : " (no clear_refs)");
 
@@ -218,11 +235,17 @@ int main(int argc, char** argv) {
            static_cast<double>(sim_days_usec) /
                static_cast<double>(cli::kUsecPerDay))
       .add("zones", live.zones)
+      .add("planned_steps", live.planned)
+      .add("applied_steps", live.applied)
+      .add("failed_steps", live.failed)
+      .add("script_wall_ms", live.script_wall_ms)
+      .add("script_steps_per_sec", live.script_steps_per_sec())
       .add("probes", live.probes)
       .add("batches", live.batches)
       .add("transitions", live.transitions)
       .add("transition_kinds", static_cast<std::uint64_t>(live.kinds))
-      .add("live_wall_ms", live.wall_ms)
+      .add("live_wall_ms", live.live_wall_ms)
+      .add("key_events_per_sec", live.key_events_per_sec())
       .add("transitions_per_sec", live.transitions_per_sec())
       .add("probes_per_sec", live.probes_per_sec())
       .add("peak_rss_bytes", live.peak_rss_bytes)
@@ -236,6 +259,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  if (live.failed != 0 || live.applied != live.planned) {
+    std::fprintf(stderr,
+                 "FAIL: %llu of %llu scripted steps applied (%llu failed)\n",
+                 static_cast<unsigned long long>(live.applied),
+                 static_cast<unsigned long long>(live.planned),
+                 static_cast<unsigned long long>(live.failed));
+    return 1;
+  }
   if (replay.records != journal_records) {
     std::fprintf(stderr, "FAIL: replay recovered %llu of %llu records\n",
                  static_cast<unsigned long long>(replay.records),
@@ -250,6 +281,16 @@ int main(int argc, char** argv) {
     if (replay.records_per_sec() < min_replay_rate) {
       std::fprintf(stderr, "FAIL: replay rate %.0f records/s below %.0f\n",
                    replay.records_per_sec(), min_replay_rate);
+      return 1;
+    }
+    if (live.script_steps_per_sec() < min_script_rate) {
+      std::fprintf(stderr, "FAIL: scripting rate %.0f steps/s below %.0f\n",
+                   live.script_steps_per_sec(), min_script_rate);
+      return 1;
+    }
+    if (live.key_events_per_sec() < min_event_rate) {
+      std::fprintf(stderr, "FAIL: key-event rate %.2f/s below %.2f\n",
+                   live.key_events_per_sec(), min_event_rate);
       return 1;
     }
   }

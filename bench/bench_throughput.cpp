@@ -33,32 +33,6 @@ using namespace dnsboot;
 
 constexpr double kReferenceDenom = 40000.0;
 
-// Reset the kernel's peak-RSS watermark to the current RSS. Returns false
-// when /proc/self/clear_refs is unavailable (non-Linux, restricted
-// container); callers then report peak-since-process-start instead.
-bool reset_peak_rss() {
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs("5", f) >= 0;
-  return (std::fclose(f) == 0) && ok;
-}
-
-// Peak RSS (VmHWM) in bytes from /proc/self/status; 0 when unreadable.
-std::uint64_t read_peak_rss_bytes() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  std::uint64_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %llu kB",
-                    reinterpret_cast<unsigned long long*>(&kb)) == 1) {
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb * 1024;
-}
-
 struct RunMeasurement {
   std::size_t threads = 0;
   std::size_t shards = 0;
@@ -113,11 +87,11 @@ RunMeasurement run_once(const ecosystem::EcosystemPlan& plan,
   options.base_network_seed = seed ^ 0xd15b007;
 
   RunMeasurement m;
-  m.rss_reset_ok = reset_peak_rss();
+  m.rss_reset_ok = bench::reset_peak_rss();
   auto start = std::chrono::steady_clock::now();
   auto result = analysis::run_sharded_survey(source, options);
   auto end = std::chrono::steady_clock::now();
-  m.peak_rss_bytes = read_peak_rss_bytes();
+  m.peak_rss_bytes = bench::read_peak_rss_bytes();
 
   m.threads = result.threads;
   m.shards = result.shards;

@@ -75,8 +75,8 @@ PolicyClock::PolicyClock(net::SimNetwork& network,
     }
   }
 
-  // Script the schedule: same eligibility as LifecycleDriver (clean unsigned
-  // zones a registry covers), every draw from the per-zone fork.
+  // Script the schedule: clean unsigned zones a registry covers are eligible,
+  // every draw from the per-zone fork.
   const net::SimTime start = options_.start;
   if (options_.horizon <= start + 2 * options_.ds_latency) return;
   const net::SimTime pub_span = (options_.horizon - start) * 2 / 5;

@@ -1,8 +1,8 @@
-// PolicyClock — the KASP world motion: every participating zone's keys evolve
-// through the RFC 7583 states (generated → published → ready → active →
-// retired → removed) on the schedule its (seed, zone)-jittered KeyPolicy
-// dictates, instead of LifecycleDriver's coarse participate/break/delete
-// draws.
+// PolicyClock — the world motion dnsboot-monitor observes: a seeded subset of
+// clean unsigned zones bootstraps (RFC 9615), then every participating zone's
+// keys evolve through the RFC 7583 states (generated → published → ready →
+// active → retired → removed) on the schedule its (seed, zone)-jittered
+// KeyPolicy dictates.
 //
 // Scenario space per participating zone (drawn once from the per-zone fork):
 //   - bootstrap only (RFC 9615 → RFC 7344 DS install), then steady state
@@ -17,8 +17,7 @@
 //     (secure; lint L110)
 //   - unsigning via the RFC 8078 delete sentinel
 //
-// Like LifecycleDriver, the whole schedule is a pure function of
-// (seed, population): a restarted monitor rebuilds the identical step list
+// The whole schedule is a pure function of (seed, population): a restarted monitor rebuilds the identical step list
 // and advance() replays it, which the crash-recovery determinism gate
 // (DESIGN.md §15) requires.
 #pragma once

@@ -5,31 +5,11 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "longitudinal/fields.hpp"
+
 namespace dnsboot::longitudinal {
 
 namespace {
-
-std::vector<std::string_view> split_tabs(std::string_view line) {
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t tab = line.find('\t', start);
-    if (tab == std::string_view::npos) {
-      fields.push_back(line.substr(start));
-      return fields;
-    }
-    fields.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
-}
-
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::string buf(text);
-  char* end = nullptr;
-  *out = std::strtoull(buf.c_str(), &end, 10);
-  return end == buf.c_str() + buf.size();
-}
 
 bool parse_u32(std::string_view text, std::uint32_t* out) {
   std::uint64_t v = 0;

@@ -3,10 +3,10 @@
 #include <unistd.h>
 
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
 
 #include "base/rng.hpp"
+#include "longitudinal/fields.hpp"
 
 namespace dnsboot::longitudinal {
 
@@ -23,28 +23,6 @@ std::string crc_of(std::string_view data) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(fnv1a(std::string(data))));
   return std::string(buf, 16);
-}
-
-std::vector<std::string_view> split_tabs(std::string_view line) {
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t tab = line.find('\t', start);
-    if (tab == std::string_view::npos) {
-      fields.push_back(line.substr(start));
-      return fields;
-    }
-    fields.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
-}
-
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::string buf(text);
-  char* end = nullptr;
-  *out = std::strtoull(buf.c_str(), &end, 10);
-  return end == buf.c_str() + buf.size();
 }
 
 // Digest field encoding: "=" unchanged, "-" absent, else the digest.

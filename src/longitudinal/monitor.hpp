@@ -11,7 +11,7 @@
 //
 // Crash safety: an acknowledged transition is one Journal::append returned
 // for. On restart the monitor re-simulates the identical world from sim time
-// zero (the lifecycle schedule and probe jitter are pure functions of the
+// zero (the world-motion schedule and probe jitter are pure functions of the
 // seed); regenerated transitions whose seq falls inside the recovered
 // journal are verified byte-for-byte against it and not re-appended, later
 // ones are appended as usual. A killed-and-restarted run therefore converges
@@ -63,7 +63,7 @@ struct MonitorOptions {
 class Monitor {
  public:
   // `motion` is the generator of world mutations the monitor observes
-  // (LifecycleDriver, kasp::PolicyClock, ...). The monitor arms it in
+  // (kasp::PolicyClock). The monitor arms it in
   // start() and mixes its name into the world tag; nullptr = a static world.
   // The motion must outlive the monitor.
   Monitor(net::Transport& network, ecosystem::Ecosystem& eco,

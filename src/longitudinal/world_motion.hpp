@@ -1,12 +1,13 @@
 // WorldMotion — the seam between the longitudinal monitor and whatever puts
 // the observed world in motion.
 //
-// PR 9's monitor was hard-wired to LifecycleDriver's coarse random draws;
-// the KASP policy clock (src/kasp/) is a second, policy-driven generator of
-// zone mutations. Both implement this interface and the monitor programs
-// against it, so the crash-recovery determinism contract (DESIGN.md §15) is
-// stated once: a motion is a pure function of (seed, population) that can be
-// rebuilt from scratch and replayed identically after a restart.
+// The one engine is the KASP policy clock (src/kasp/), which scripts
+// bootstrap, key rollovers, breakage and unsigning. The monitor programs
+// against this interface rather than the clock (src/longitudinal/ does not
+// depend on src/kasp/), so the crash-recovery determinism contract
+// (DESIGN.md §15) is stated once: a motion is a pure function of
+// (seed, population) that can be rebuilt from scratch and replayed
+// identically after a restart.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +22,8 @@ class WorldMotion {
  public:
   virtual ~WorldMotion() = default;
 
-  // Short token mixed into the monitor's world tag ("legacy", "kasp"): a
-  // state directory journaled under one motion must never replay under
-  // another.
+  // Short token mixed into the monitor's world tag ("kasp"): a state
+  // directory journaled under one motion must never replay under another.
   virtual std::string_view motion_name() const = 0;
 
   // Total number of scripted zone mutations in the plan.

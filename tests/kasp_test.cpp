@@ -1,9 +1,10 @@
 // KASP key-lifecycle engine tests: the RFC 7583 timing math against a golden
 // table, the deterministic per-zone policy jitter, the PolicyClock's scripted
 // schedule (well-ordered per zone, reproducible across rebuilds), and the
-// end-to-end property the paper pipeline depends on — a *clean* pre-publication
-// or double-DS rollover is never classified broken at any probe instant, while
-// every botched scenario is journaled as broken and later repaired.
+// monitor end-to-end over a KASP-managed world: every transition journaled,
+// runs byte-identical, a restart over a torn journal converging, a *clean*
+// pre-publication or double-DS rollover never classified broken at any probe
+// instant, and every botched scenario journaled as broken and later repaired.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -279,8 +280,13 @@ std::string read_file(const std::string& path) {
 struct KaspRun {
   std::string journal;
   std::string json;
+  std::string csv;
+  std::string history;
+  std::size_t kinds = 0;
   std::uint64_t transitions = 0;
   std::uint64_t mismatches = 0;
+  std::uint64_t replayed = 0;
+  std::uint64_t appended = 0;
   std::uint64_t motion_applied = 0;
   std::uint64_t motion_failed = 0;
   std::size_t planned = 0;
@@ -305,22 +311,57 @@ KaspRun run_kasp_monitor(const std::string& state_dir,
   options.initial_spread = net::SimTime{1800} * net::kSecond;
   options.stable_probes = 2;
   options.state_dir = state_dir;
+  options.snapshot_every = net::SimTime{86400} * net::kSecond;
   longitudinal::Monitor monitor(network, eco, options, &clock);
 
   Status started = monitor.start();
   EXPECT_TRUE(started.ok()) << (started.ok() ? ""
                                              : started.error().to_string());
   monitor.run();
+  EXPECT_EQ(clock.failed(), 0u);
 
   KaspRun run;
   run.journal = read_file(state_dir + "/journal.log");
   run.json = monitor.reporter().to_json();
+  run.csv = monitor.reporter().to_csv();
+  run.history = monitor.history().serialize();
+  run.kinds = monitor.reporter().distinct_kinds();
   run.transitions = monitor.reporter().transitions();
   run.mismatches = monitor.journal_mismatches();
+  run.replayed = monitor.journal_replayed();
+  run.appended = monitor.journal_appended();
   run.motion_applied = clock.applied();
   run.motion_failed = clock.failed();
   run.planned = clock.planned_steps();
   return run;
+}
+
+// Every managed zone bootstraps, then draws from the full scenario ladder at
+// its default weights: clean rolls, botched rolls and their repairs, and
+// delete-sentinel unsigning.
+KaspOptions mixed_options() {
+  KaspOptions o;
+  o.seed = 7;
+  o.horizon = net::SimTime{10} * 86400 * net::kSecond;
+  o.participate_fraction = 1.0;
+  return o;
+}
+
+TEST(KaspMonitorTest, EndToEndObservesBootstrapMotion) {
+  const std::string dir = make_temp_dir();
+  KaspRun run = run_kasp_monitor(dir, mixed_options());
+  EXPECT_GT(run.planned, 10u);
+  EXPECT_EQ(run.motion_applied, run.planned);
+  // The monitored world produced several distinct transition kinds, and
+  // every one was journaled.
+  EXPECT_GE(run.kinds, 3u);
+  EXPECT_GT(run.transitions, 10u);
+  EXPECT_EQ(run.mismatches, 0u);
+  EXPECT_EQ(run.appended, run.transitions);
+  EXPECT_NE(run.json.find("insecure->cds_published"), std::string::npos);
+  EXPECT_NE(run.json.find("cds_published->ds_bootstrapped"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 // The acceptance-criteria property: a clean, correctly-timed rollover — the
@@ -397,8 +438,58 @@ TEST(KaspMonitorTest, RunsAreByteIdentical) {
   EXPECT_FALSE(a.journal.empty());
   EXPECT_EQ(a.journal, b.journal);
   EXPECT_EQ(a.json, b.json);
+  EXPECT_EQ(a.csv, b.csv);
+  EXPECT_EQ(a.history, b.history);
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);
+}
+
+// The monitor's own determinism under its default motion: the full scenario
+// ladder, botched rolls and unsigning included, replays byte for byte.
+TEST(MonitorTest, RunsAreDeterministic) {
+  const std::string dir_a = make_temp_dir();
+  const std::string dir_b = make_temp_dir();
+  KaspRun a = run_kasp_monitor(dir_a, mixed_options());
+  KaspRun b = run_kasp_monitor(dir_b, mixed_options());
+  EXPECT_FALSE(a.journal.empty());
+  EXPECT_EQ(a.journal, b.journal);
+  EXPECT_EQ(a.json, b.json);
+  EXPECT_EQ(a.csv, b.csv);
+  EXPECT_EQ(a.history, b.history);
+  std::filesystem::remove_all(dir_a);
+  std::filesystem::remove_all(dir_b);
+}
+
+// Crash recovery: a restart over a torn journal re-simulates from t=0,
+// byte-verifies the surviving prefix, and converges to the uninterrupted
+// run's journal, report and history.
+TEST(KaspMonitorTest, RestartOverTruncatedJournalConverges) {
+  const std::string dir_full = make_temp_dir();
+  KaspRun full = run_kasp_monitor(dir_full, mixed_options());
+  ASSERT_GT(full.transitions, 10u);
+
+  // Keep the header plus half the records, cutting the last kept line in
+  // the middle (a torn write).
+  const std::string dir_crash = make_temp_dir();
+  {
+    std::ofstream out(dir_crash + "/journal.log", std::ios::binary);
+    out << full.journal.substr(0, full.journal.size() / 2);
+  }
+  KaspRun resumed = run_kasp_monitor(dir_crash, mixed_options());
+  EXPECT_EQ(resumed.mismatches, 0u);
+  EXPECT_GT(resumed.replayed, 0u);
+  EXPECT_GT(resumed.appended, 0u);
+  EXPECT_EQ(resumed.journal, full.journal);
+  EXPECT_EQ(resumed.json, full.json);
+  EXPECT_EQ(resumed.history, full.history);
+
+  // The snapshot written by the resumed run compacts to the same state.
+  longitudinal::HistoryStore from_snapshot;
+  auto meta = longitudinal::read_snapshot_file(
+      dir_crash + "/snapshot.dnsboot", &from_snapshot);
+  ASSERT_TRUE(meta.ok());
+  std::filesystem::remove_all(dir_full);
+  std::filesystem::remove_all(dir_crash);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,22 +1,22 @@
 // Tests for src/longitudinal/: the phase state machine, EWMA cadence
-// statistics, the re-probe scheduler, journal/snapshot persistence, the
-// incremental reporter, and the Monitor end-to-end (including the
-// crash-recovery determinism contract: a restart over a truncated journal
-// converges to the byte-identical journal and reports).
+// statistics, the re-probe scheduler, journal/snapshot persistence (including
+// strict integer fields) and the incremental reporter. The Monitor
+// end-to-end, driven by the KASP policy clock, lives in kasp_test.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
+#include <vector>
 
+#include "base/rng.hpp"
+#include "base/strings.hpp"
 #include "cli.hpp"
-#include "ecosystem/builder.hpp"
-#include "ecosystem/plan.hpp"
-#include "longitudinal/lifecycle.hpp"
-#include "longitudinal/monitor.hpp"
+#include "longitudinal/journal.hpp"
+#include "longitudinal/report.hpp"
+#include "longitudinal/scheduler.hpp"
 
 namespace dnsboot::longitudinal {
 namespace {
@@ -472,6 +472,87 @@ TEST(SnapshotTest, EncodeDecodeFileRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+// ---- strict integer fields ----------------------------------------------
+
+// Spellings strtoull reads as numbers ("-1" wraps to 2^64-1, out-of-range
+// saturates). The encoders never write them, so every decoder must refuse.
+const char* const kBadIntegers[] = {"-1", "+7", " 7", "18446744073709551616"};
+
+// The codecs' crc: FNV-1a over the preceding bytes as 16 hex digits.
+// Re-sealing an edited record makes the field parser the only line of
+// defense.
+std::string crc_hex(const std::string& text) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(fnv1a(text)));
+  return buf;
+}
+
+std::string sealed_record(std::vector<std::string> fields) {
+  fields.back().clear();  // the crc field, recomputed over the rest
+  const std::string payload = join(fields, "\t");
+  return payload + crc_hex(payload);
+}
+
+std::string sealed_snapshot(const std::vector<std::string>& header,
+                            const std::string& body) {
+  const std::string text = join(header, "\t") + "\n" + body + "end\t";
+  return text + crc_hex(text) + "\n";
+}
+
+TEST(StrictFieldTest, JournalDecodeRejectsNonDigitIntegers) {
+  const std::vector<std::string> fields =
+      split(Journal::encode(sample_transition()), '\t');
+  ASSERT_TRUE(Journal::decode(sealed_record(fields)).ok());
+  for (std::size_t field : {1u, 2u}) {  // seq, at
+    for (const char* bad : kBadIntegers) {
+      std::vector<std::string> edited = fields;
+      edited[field] = bad;
+      EXPECT_FALSE(Journal::decode(sealed_record(edited)).ok())
+          << "field " << field << " = '" << bad << "'";
+    }
+  }
+}
+
+TEST(StrictFieldTest, SnapshotHeaderRejectsNonDigitIntegers) {
+  SnapshotMeta meta;
+  meta.world_tag = "tag";
+  meta.seq = 4;
+  meta.at = 99;
+  const std::string text = encode_snapshot(meta, store_with_walk());
+  const std::size_t header_end = text.find('\n');
+  const std::string body =
+      text.substr(header_end + 1, text.rfind("end\t") - header_end - 1);
+  const std::vector<std::string> header =
+      split(text.substr(0, header_end), '\t');
+  ASSERT_EQ(sealed_snapshot(header, body), text);
+  for (std::size_t field : {2u, 3u}) {  // seq, at
+    for (const char* bad : kBadIntegers) {
+      std::vector<std::string> edited = header;
+      edited[field] = bad;
+      EXPECT_FALSE(decode_snapshot(sealed_snapshot(edited, body), nullptr).ok())
+          << "field " << field << " = '" << bad << "'";
+    }
+  }
+}
+
+TEST(StrictFieldTest, HistoryRestoreRejectsNonDigitIntegers) {
+  const std::string body = store_with_walk().serialize();
+  const std::vector<std::string> fields =
+      split(body.substr(0, body.find('\n')), '\t');
+  HistoryStore intact;
+  ASSERT_TRUE(intact.restore(join(fields, "\t") + "\n").ok());
+  for (std::size_t field : {2u, 6u}) {  // phase_since (u64), probes (u32)
+    for (const char* bad : kBadIntegers) {
+      std::vector<std::string> edited = fields;
+      edited[field] = bad;
+      HistoryStore store;
+      EXPECT_FALSE(store.restore(join(edited, "\t") + "\n").ok())
+          << "field " << field << " = '" << bad << "'";
+    }
+  }
+}
+
 // ---- reporter ------------------------------------------------------------
 
 TEST(ReporterTest, FoldsCurveKindsAndLatency) {
@@ -553,143 +634,6 @@ TEST(DurationFlagTest, FlagParserDuration) {
   cli::FlagParser parser2("test");
   parser2.duration("--sim-days", &sim, cli::kUsecPerDay, "window");
   EXPECT_FALSE(parser2.parse(3, const_cast<char**>(bad)));
-}
-
-// ---- monitor end-to-end --------------------------------------------------
-
-// A miniature world whose zones actually move: one clean operator with a
-// handful of unsigned zones, all of which the lifecycle walks through
-// bootstrap (and some through breakage/deletion) inside a short horizon.
-struct MonitorRunResult {
-  std::string journal;
-  std::string json;
-  std::string csv;
-  std::string history;
-  std::size_t kinds = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t mismatches = 0;
-  std::uint64_t replayed = 0;
-  std::uint64_t appended = 0;
-};
-
-ecosystem::OperatorProfile tiny_operator() {
-  ecosystem::OperatorProfile p;
-  p.name = "OpMono";
-  p.ns_domains = {"opmono.net"};
-  p.tld = "net";
-  p.customer_tld = "ch";
-  p.domains = 10;
-  return p;
-}
-
-MonitorRunResult run_monitor(const std::string& state_dir) {
-  net::SimNetwork network(42);
-  ecosystem::EcosystemConfig config;
-  config.scale = 1.0;
-  config.operators = {tiny_operator()};
-  config.inject_pathologies = false;
-  ecosystem::EcosystemBuilder builder(network, config);
-  ecosystem::Ecosystem eco = builder.build();
-
-  MonitorOptions options;
-  options.seed = 7;
-  options.horizon = net::SimTime{4} * 86400 * net::kSecond;
-  options.initial_spread = net::SimTime{1800} * net::kSecond;
-  options.stable_probes = 2;
-  options.state_dir = state_dir;
-  options.snapshot_every = net::SimTime{86400} * net::kSecond;
-
-  resolver::QueryEngine registry_engine(
-      network, net::IpAddress::v4({192, 0, 2, 252}), {});
-  resolver::DelegationResolver registry_resolver(registry_engine, eco.hints);
-  LifecycleOptions lifecycle_options;
-  lifecycle_options.seed = 7;
-  lifecycle_options.horizon = options.horizon;
-  lifecycle_options.participate_fraction = 1.0;
-  lifecycle_options.break_fraction = 0.3;
-  lifecycle_options.delete_fraction = 0.3;
-  lifecycle_options.ds_latency = net::SimTime{4} * 3600 * net::kSecond;
-  LifecycleDriver lifecycle(network, registry_engine, registry_resolver, eco,
-                            lifecycle_options);
-  EXPECT_GT(lifecycle.events().size(), 10u);
-  Monitor monitor(network, eco, options, &lifecycle);
-
-  Status started = monitor.start();
-  EXPECT_TRUE(started.ok()) << (started.ok() ? ""
-                                             : started.error().to_string());
-  monitor.run();
-  EXPECT_EQ(lifecycle.failed(), 0u);
-
-  MonitorRunResult result;
-  result.journal = read_file(state_dir + "/journal.log");
-  result.json = monitor.reporter().to_json();
-  result.csv = monitor.reporter().to_csv();
-  result.history = monitor.history().serialize();
-  result.kinds = monitor.reporter().distinct_kinds();
-  result.transitions = monitor.reporter().transitions();
-  result.mismatches = monitor.journal_mismatches();
-  result.replayed = monitor.journal_replayed();
-  result.appended = monitor.journal_appended();
-  return result;
-}
-
-TEST(MonitorTest, EndToEndObservesBootstrapMotion) {
-  const std::string dir = make_temp_dir();
-  MonitorRunResult run = run_monitor(dir);
-  // The acceptance gate: the monitored world produced several distinct
-  // transition kinds, and every one was journaled.
-  EXPECT_GE(run.kinds, 3u);
-  EXPECT_GT(run.transitions, 10u);
-  EXPECT_EQ(run.mismatches, 0u);
-  EXPECT_EQ(run.appended, run.transitions);
-  EXPECT_NE(run.json.find("insecure->cds_published"), std::string::npos);
-  EXPECT_NE(run.json.find("cds_published->ds_bootstrapped"),
-            std::string::npos);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(MonitorTest, RunsAreDeterministic) {
-  const std::string dir_a = make_temp_dir();
-  const std::string dir_b = make_temp_dir();
-  MonitorRunResult a = run_monitor(dir_a);
-  MonitorRunResult b = run_monitor(dir_b);
-  EXPECT_EQ(a.journal, b.journal);
-  EXPECT_EQ(a.json, b.json);
-  EXPECT_EQ(a.csv, b.csv);
-  EXPECT_EQ(a.history, b.history);
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
-}
-
-TEST(MonitorTest, RestartOverTruncatedJournalConverges) {
-  const std::string dir_full = make_temp_dir();
-  MonitorRunResult full = run_monitor(dir_full);
-  ASSERT_GT(full.transitions, 10u);
-
-  // Crash simulation: keep the header plus half the records, cutting the
-  // last kept line in the middle (a torn write).
-  const std::string dir_crash = make_temp_dir();
-  const std::string half =
-      full.journal.substr(0, full.journal.size() / 2);
-  {
-    std::ofstream out(dir_crash + "/journal.log", std::ios::binary);
-    out << half;
-  }
-  MonitorRunResult resumed = run_monitor(dir_crash);
-  EXPECT_EQ(resumed.mismatches, 0u);
-  EXPECT_GT(resumed.replayed, 0u);
-  EXPECT_GT(resumed.appended, 0u);
-  EXPECT_EQ(resumed.journal, full.journal);
-  EXPECT_EQ(resumed.json, full.json);
-  EXPECT_EQ(resumed.history, full.history);
-
-  // The snapshot written by the resumed run compacts to the same state.
-  HistoryStore from_snapshot;
-  auto meta = read_snapshot_file(dir_crash + "/snapshot.dnsboot",
-                                 &from_snapshot);
-  ASSERT_TRUE(meta.ok());
-  std::filesystem::remove_all(dir_full);
-  std::filesystem::remove_all(dir_crash);
 }
 
 }  // namespace

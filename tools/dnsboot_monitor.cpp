@@ -3,13 +3,13 @@
 //
 // Where dnsboot-survey answers "what is deployed right now", this tool
 // answers "how is deployment moving": it builds the same deterministic
-// ecosystem from --seed / --scale-denom, arms a scripted bootstrap lifecycle
-// (zones sign and publish CDS, registries install DS, some later break a
-// rollover or tear DNSSEC down via the RFC 8078 delete sentinel), and then
-// re-probes every zone on an adaptive cadence for --sim-days of simulated
-// time. Phase transitions are journaled (append = acknowledged, crash-safe),
-// periodically compacted into snapshots, and folded incrementally into
-// adoption reports:
+// ecosystem from --seed / --scale-denom, arms the KASP policy clock (zones
+// sign and publish CDS, registries install DS, keys roll cleanly or break
+// and get repaired, some zones tear DNSSEC down via the RFC 8078 delete
+// sentinel — DESIGN.md §16), and then re-probes every zone on an adaptive
+// cadence for --sim-days of simulated time. Phase transitions are journaled
+// (append = acknowledged, crash-safe), periodically compacted into
+// snapshots, and folded incrementally into adoption reports:
 //
 //   dnsboot-monitor --scale-denom 50000 --seed 7 --sim-days 30
 //       --chaos mild --state-dir /tmp/mon --snapshot-every 6h
@@ -33,7 +33,6 @@
 #include "ecosystem/chaos.hpp"
 #include "ecosystem/plan.hpp"
 #include "kasp/clock.hpp"
-#include "longitudinal/lifecycle.hpp"
 #include "longitudinal/monitor.hpp"
 #include "net/simnet.hpp"
 #include "obs/metrics_http.hpp"
@@ -56,7 +55,6 @@ struct CliOptions {
   std::uint32_t stable_probes = 3;
   std::string state_dir;
   std::string csv_path;
-  std::string motion = "legacy";
   bool no_lifecycle = false;
   std::uint32_t metrics_port = 0;
   cli::OutputOptions output;
@@ -95,9 +93,6 @@ cli::FlagParser make_parser(CliOptions* options) {
                "journal + snapshot directory (enables crash-safe persistence)");
   parser.value("--csv", &options->csv_path, "FILE",
                "write the adoption curve as CSV");
-  parser.choice("--motion", &options->motion, {"legacy", "kasp"},
-                "world-motion engine: the legacy lifecycle draws or the "
-                "RFC 7583 KASP key-lifecycle policy clock");
   parser.flag("--no-lifecycle", &options->no_lifecycle,
               "skip the scripted world motion entirely (static world)");
   parser.value("--metrics-port", &options->metrics_port,
@@ -142,22 +137,13 @@ int main(int argc, char** argv) {
   resolver::QueryEngine registry_engine(
       network, net::IpAddress::v4({192, 0, 2, 252}), {});
   resolver::DelegationResolver registry_resolver(registry_engine, eco.hints);
-  std::unique_ptr<longitudinal::WorldMotion> motion;
+  std::unique_ptr<kasp::PolicyClock> motion;
   if (!options.no_lifecycle) {
-    if (options.motion == "kasp") {
-      kasp::KaspOptions kasp_options;
-      kasp_options.seed = options.seed;
-      kasp_options.horizon = options.sim_days_usec;
-      motion = std::make_unique<kasp::PolicyClock>(
-          network, registry_engine, registry_resolver, eco, kasp_options);
-    } else {
-      longitudinal::LifecycleOptions lifecycle_options;
-      lifecycle_options.seed = options.seed;
-      lifecycle_options.horizon = options.sim_days_usec;
-      motion = std::make_unique<longitudinal::LifecycleDriver>(
-          network, registry_engine, registry_resolver, eco,
-          lifecycle_options);
-    }
+    kasp::KaspOptions kasp_options;
+    kasp_options.seed = options.seed;
+    kasp_options.horizon = options.sim_days_usec;
+    motion = std::make_unique<kasp::PolicyClock>(
+        network, registry_engine, registry_resolver, eco, kasp_options);
   }
 
   longitudinal::MonitorOptions monitor_options;
@@ -265,12 +251,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Keep /metrics scrapeable until the wall-clock cap or a signal.
-  if (options.metrics_port != 0 && options.max_runtime_usec > 0) {
+  // Keep /metrics scrapeable until a signal or, when --max-seconds is set,
+  // the wall-clock cap (dnsboot-serve's contract).
+  if (options.metrics_port != 0) {
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::microseconds(options.max_runtime_usec);
-    while (!g_stop.load() && std::chrono::steady_clock::now() < deadline) {
+    while (!g_stop.load() && (options.max_runtime_usec == 0 ||
+                              std::chrono::steady_clock::now() < deadline)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   }
