@@ -123,7 +123,8 @@ int main() {
   // registrar's manual DS interface, exactly the coordination pain the paper
   // identifies as DNSSEC's deployment barrier (§2).
   std::printf("\n-- manual recovery via the registrar's DS interface --\n");
-  auto recovery = dnssec::ZoneKeys{old_like_keys.ksk, new_keys.zsk, {}};
+  auto recovery =
+      dnssec::ZoneKeys{.ksk = old_like_keys.ksk, .zsk = new_keys.zsk};
   publish_cds_for(old_like_keys.ksk);
   (void)dnssec::sign_zone(*zone, recovery, policy);
   auto manual_ds =
@@ -137,12 +138,14 @@ int main() {
   // chain secure while the CDS announces the new key, so the registry can
   // swap the DS automatically.
   std::printf("\n-- PROPER roll: both KSKs published and signing --\n");
-  dnssec::ZoneKeys rolling{new_keys.ksk, new_keys.zsk, {old_like_keys.ksk}};
+  dnssec::ZoneKeys rolling{.ksk = new_keys.ksk,
+                           .zsk = new_keys.zsk,
+                           .extra_ksks = {old_like_keys.ksk}};
   publish_cds_for(new_keys.ksk);
   (void)dnssec::sign_zone(*zone, rolling, policy);
   run_registry_pass("double-signed roll:");
   // Old key retired once the DS points at the new KSK.
-  dnssec::ZoneKeys settled{new_keys.ksk, new_keys.zsk, {}};
+  dnssec::ZoneKeys settled{.ksk = new_keys.ksk, .zsk = new_keys.zsk};
   publish_cds_for(new_keys.ksk);
   (void)dnssec::sign_zone(*zone, settled, policy);
   run_registry_pass("old key retired:");

@@ -46,11 +46,11 @@ struct ServerWorld {
                                 60}))
             .take());
     open_server = std::make_shared<server::AuthServer>(
-        server::ServerConfig{"open", {}, 0, 0, {}}, 1);
+        server::ServerConfig{.id = "open"}, 1);
     open_server->add_zone(zone);
     open_server->attach(network, open_addr);
     hard_server = std::make_shared<server::AuthServer>(
-        server::ServerConfig{"hard", {}, 0, 0, {}}, 1);
+        server::ServerConfig{.id = "hard"}, 1);
     server::ServerDefenseProfile defense;
     defense.per_client_qps = 1.0;  // throttles almost immediately
     defense.per_client_burst = 2.0;

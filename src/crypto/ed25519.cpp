@@ -1,6 +1,8 @@
 #include "crypto/ed25519.hpp"
 
 #include <cstring>
+#include <memory>
+#include <optional>
 
 #include "crypto/sha2.hpp"
 
@@ -519,6 +521,82 @@ ExpandedSecret expand_seed(const Ed25519Seed& seed) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Verification memo (DESIGN.md §14.5). For S < L the verification equation
+// reads the message only through k = SHA512(R || A || M) mod L, so its
+// outcome is a function of the 128 bytes (A, R, S, k), and a table keyed on
+// them returns exactly what the full computation would.
+// ---------------------------------------------------------------------------
+
+// 4-way set-associative, one per thread: a full set overwrites its oldest
+// way. Accepts and rejects are both stored.
+class VerifyMemo {
+ public:
+  using Key = std::array<std::uint8_t, 128>;  // A || R || S || k
+
+  std::optional<bool> find(const Key& key) const {
+    for (const Entry& entry : sets_[set_of(key)].ways) {
+      if (entry.used && entry.key == key) return entry.accepted;
+    }
+    return std::nullopt;
+  }
+
+  void insert(const Key& key, bool accepted) {
+    Set& set = sets_[set_of(key)];
+    set.ways[set.next] = Entry{key, true, accepted};
+    set.next = static_cast<std::uint8_t>((set.next + 1) % kWays);
+  }
+
+ private:
+  static constexpr std::size_t kWays = 4;
+  static constexpr std::size_t kSets = kEd25519VerifyMemoCapacity / kWays;
+  static_assert(kSets * kWays == kEd25519VerifyMemoCapacity &&
+                (kSets & (kSets - 1)) == 0);
+
+  struct Entry {
+    Key key;
+    bool used;
+    bool accepted;
+  };
+  struct Set {
+    std::array<Entry, kWays> ways;
+    std::uint8_t next;  // the way the next insert overwrites
+  };
+
+  // k, a hash output, is the key's last 32 bytes: its low bits spread keys
+  // evenly over the sets.
+  static std::size_t set_of(const Key& key) {
+    return (key[96] | static_cast<std::size_t>(key[97]) << 8) & (kSets - 1);
+  }
+
+  std::array<Set, kSets> sets_{};
+};
+
+// Allocated on a thread's first verification, so threads that never verify
+// hold no table; freed when the thread exits.
+VerifyMemo& verify_memo() {
+  thread_local const std::unique_ptr<VerifyMemo> memo =
+      std::make_unique<VerifyMemo>();
+  return *memo;
+}
+
+// Check [S]B == R + [k]A  <=>  [S]B + [k](-A) == R for a memo key whose S is
+// already range-checked. False when A is not a curve point.
+bool verify_equation(const VerifyMemo::Key& key) {
+  const std::uint8_t* a_bytes = key.data();
+  const std::uint8_t* r_bytes = key.data() + 32;
+  const std::uint8_t* s_bytes = key.data() + 64;
+  const std::uint8_t* k = key.data() + 96;
+  Point a;
+  if (!point_decode(a, a_bytes)) return false;
+  Point sb = point_scalarmult_base(s_bytes);
+  Point ka = point_scalarmult(point_neg(a), k);
+  Point check = point_add(sb, ka);
+  std::uint8_t check_bytes[32];
+  point_encode(check_bytes, check);
+  return std::memcmp(check_bytes, r_bytes, 32) == 0;
+}
+
 }  // namespace
 
 Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed) {
@@ -567,29 +645,25 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
 
 bool ed25519_verify(const Ed25519PublicKey& public_key, BytesView message,
                     const Ed25519Signature& signature) {
-  const std::uint8_t* r_bytes = signature.data();
   const std::uint8_t* s_bytes = signature.data() + 32;
   if (!scalar_in_range(s_bytes)) return false;
 
-  Point a;
-  if (!point_decode(a, public_key.data())) return false;
-
-  // k = SHA512(R || A || M) mod L
+  // Key = A || R || S || k, with k = SHA512(R || A || M) mod L.
+  VerifyMemo::Key key{};
+  std::memcpy(key.data(), public_key.data(), 32);
+  std::memcpy(key.data() + 32, signature.data(), 64);
   Sha512 hk;
-  hk.update(BytesView(r_bytes, 32));
+  hk.update(BytesView(signature.data(), 32));
   hk.update(BytesView(public_key.data(), public_key.size()));
   hk.update(message);
   auto k_full = hk.finish();
-  std::uint8_t k[32];
-  scalar_reduce(k, k_full.data());
+  scalar_reduce(key.data() + 96, k_full.data());
 
-  // Check [S]B == R + [k]A  <=>  [S]B + [k](-A) == R.
-  Point sb = point_scalarmult_base(s_bytes);
-  Point ka = point_scalarmult(point_neg(a), k);
-  Point check = point_add(sb, ka);
-  std::uint8_t check_bytes[32];
-  point_encode(check_bytes, check);
-  return std::memcmp(check_bytes, r_bytes, 32) == 0;
+  VerifyMemo& memo = verify_memo();
+  if (const std::optional<bool> known = memo.find(key)) return *known;
+  const bool accepted = verify_equation(key);
+  memo.insert(key, accepted);
+  return accepted;
 }
 
 }  // namespace dnsboot::crypto

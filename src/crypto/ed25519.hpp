@@ -39,8 +39,18 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
                               const Ed25519PublicKey& public_key,
                               BytesView message);
 
+// Entries in each thread's verification memo (see ed25519_verify): about
+// 0.5 MiB per thread that verifies.
+inline constexpr std::size_t kEd25519VerifyMemoCapacity = 4096;
+
 // Verify a signature (RFC 8032 §5.1.7). Returns false for malformed points,
 // out-of-range scalars, and signature mismatches alike.
+//
+// Every call checks S < L and hashes k = SHA512(R || A || M) mod L; the
+// point decoding, both scalar multiplications and the final compare run only
+// when (A, R, S, k) misses a per-thread memo of earlier outcomes. The
+// equation reads the message only through k, so a hit returns exactly what
+// the full computation would (DESIGN.md §14.5).
 bool ed25519_verify(const Ed25519PublicKey& public_key, BytesView message,
                     const Ed25519Signature& signature);
 

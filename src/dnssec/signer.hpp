@@ -18,20 +18,20 @@ struct ZoneKeys {
   // Additional KSKs kept in the DNSKEY RRset during a rollover (RFC 6781
   // double-signature scheme): the old key stays published and keeps signing
   // the DNSKEY RRset until the parent's DS has moved to the new key.
-  std::vector<crypto::KeyPair> extra_ksks;
+  std::vector<crypto::KeyPair> extra_ksks{};
   // ZSKs published but not signing: the pre-publish phase of an RFC 6781
   // §4.1.1.1 ZSK rollover (the successor waits out Ipub before it may sign),
   // and the retire phase (the predecessor stays published until old RRSIGs
   // have left caches).
-  std::vector<crypto::KeyPair> extra_zsks;
+  std::vector<crypto::KeyPair> extra_zsks{};
   // ZSKs that co-sign every ZSK-signed RRset (double-signature rollover, and
   // the algorithm-roll requirement of RFC 4035 §2.2 that each algorithm in
   // the DNSKEY RRset signs the zone).
-  std::vector<crypto::KeyPair> co_zsks;
+  std::vector<crypto::KeyPair> co_zsks{};
   // Raw DNSKEY rdatas published without any signing capability. Models key
   // material this build cannot sign with (e.g. a foreign-algorithm DNSKEY
   // during a botched algorithm rollover).
-  std::vector<dns::DnskeyRdata> extra_dnskeys;
+  std::vector<dns::DnskeyRdata> extra_dnskeys{};
 
   static ZoneKeys generate(Rng& rng);
 };

@@ -486,8 +486,7 @@ Ecosystem build_shard(net::SimNetwork& network, const EcosystemConfig& config,
   auto root_keys = dnssec::ZoneKeys::generate(infra_rng);
   auto root_zone = std::make_shared<dns::Zone>(dns::Name::root());
   auto root_server = std::make_shared<server::AuthServer>(
-      server::ServerConfig{"root", server::ServerBehavior::kCompliant,
-                           0.0, 0.0, {}},
+      server::ServerConfig{.id = "root"},
       infra_rng.next_u64());
   std::vector<net::IpAddress> root_addresses = {next_v4(), next_v4()};
   dns::Name root_ns1 = name_of("a.root-servers.net.");

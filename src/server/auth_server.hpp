@@ -81,7 +81,7 @@ struct ServerConfig {
   // signatures, as observed from deSEC during the paper's scan).
   double transient_badsig_rate = 0.0;
   // Parking profile: the NS names returned for every NS query.
-  std::vector<dns::Name> parking_ns;
+  std::vector<dns::Name> parking_ns{};
 
   // Permit zone transfers (RFC 5936). The paper obtained full zone files via
   // AXFR only from a handful of ccTLDs (.ch/.li/.se/.nu/.ee) and by private
@@ -91,9 +91,9 @@ struct ServerConfig {
   std::size_t axfr_chunk_records = 2000;
 
   // Chaos fault profile (off by default; see apply_chaos()).
-  ServerFaultProfile faults;
+  ServerFaultProfile faults{};
   // Hardening profile (off by default; the adversarial preset enables it).
-  ServerDefenseProfile defense;
+  ServerDefenseProfile defense{};
 };
 
 class AuthServer {

@@ -229,7 +229,7 @@ struct EngineFixture {
     network.set_default_link(
         net::LinkModel{2 * net::kMillisecond, 0, 0.0});
     server = std::make_shared<server::AuthServer>(
-        server::ServerConfig{"t", {}, 0, 0, {}}, 1);
+        server::ServerConfig{.id = "t"}, 1);
     const std::string text =
         "@ IN SOA ns1 hostmaster 1 7200 3600 1209600 300\n"
         "@ IN NS ns1\n"

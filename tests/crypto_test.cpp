@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "base/encoding.hpp"
 #include "base/rng.hpp"
 #include "crypto/ed25519.hpp"
@@ -111,6 +115,12 @@ INSTANTIATE_TEST_SUITE_P(BlockEdges, Sha2Boundary,
 
 // --- Ed25519 (RFC 8032 §7.1 vectors) ---------------------------------------
 
+// The group order L, little-endian.
+constexpr std::uint8_t kGroupOrder[32] = {
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+    0xa2, 0xde, 0xf9, 0xde, 0x14, 0,    0,    0,    0,    0,    0,
+    0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+
 struct Rfc8032Vector {
   const char* seed;
   const char* public_key;
@@ -207,13 +217,8 @@ TEST(Ed25519, RejectsHighSValue) {
   auto kp = KeyPair::generate(rng, kZskFlags);
   Bytes msg = to_bytes("m");
   auto sig = kp.sign(msg);
-  // Set S to L itself (first invalid value): little-endian bytes of L.
-  const std::uint8_t l_bytes[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12,
-                                    0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9,
-                                    0xde, 0x14, 0,    0,    0,    0,    0,
-                                    0,    0,    0,    0,    0,    0,    0,
-                                    0,    0,    0,    0x10};
-  std::copy(l_bytes, l_bytes + 32, sig.begin() + 32);
+  // Set S to L itself (first invalid value).
+  std::copy(kGroupOrder, kGroupOrder + 32, sig.begin() + 32);
   EXPECT_FALSE(kp.verify(msg, sig));
 }
 
@@ -246,6 +251,134 @@ TEST_P(Ed25519RandomRoundTrip, SignVerifyRandomMessages) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ed25519RandomRoundTrip, ::testing::Range(1, 9));
+
+// --- Ed25519 verification memo (DESIGN.md §14.5) -----------------------------
+// Each case first leaves an outcome in the calling thread's memo, then makes
+// a call that the memo must not answer from it, or must answer the same way.
+
+// S + L: satisfies the group equation whenever S does.
+Ed25519Signature add_l_to_s(Ed25519Signature sig) {
+  unsigned carry = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    const unsigned sum = sig[32 + i] + kGroupOrder[i] + carry;
+    sig[32 + i] = static_cast<std::uint8_t>(sum);
+    carry = sum >> 8;
+  }
+  return sig;
+}
+
+struct SignedTriple {
+  Bytes message;
+  Ed25519Signature signature;
+  bool valid;
+};
+
+// `count` distinct triples under `key`. Every third has the low bit of S
+// flipped: a reject that shares A, R and k with the signer's true signature.
+std::vector<SignedTriple> make_triples(const KeyPair& key, std::size_t count) {
+  std::vector<SignedTriple> triples;
+  for (std::size_t i = 0; i < count; ++i) {
+    Bytes message = to_bytes("triple " + std::to_string(i));
+    Ed25519Signature signature = key.sign(message);
+    const bool valid = i % 3 != 2;
+    if (!valid) signature[32] ^= 0x01;
+    triples.push_back({std::move(message), signature, valid});
+  }
+  return triples;
+}
+
+TEST(Ed25519Memo, OtherMessageUnderCachedAcceptIsRejected) {
+  Rng rng(201);
+  auto kp = KeyPair::generate(rng, kZskFlags);
+  Bytes msg = to_bytes("cached message");
+  auto sig = kp.sign(msg);
+  ASSERT_TRUE(kp.verify(msg, sig));
+  ASSERT_TRUE(kp.verify(msg, sig));
+  EXPECT_FALSE(kp.verify(to_bytes("cached massage"), sig));
+  EXPECT_TRUE(kp.verify(msg, sig));
+}
+
+TEST(Ed25519Memo, CachedSignatureWithSPlusLIsRejected) {
+  Rng rng(202);
+  auto kp = KeyPair::generate(rng, kZskFlags);
+  Bytes msg = to_bytes("malleable");
+  auto sig = kp.sign(msg);
+  ASSERT_TRUE(kp.verify(msg, sig));
+  const Ed25519Signature high = add_l_to_s(sig);
+  EXPECT_FALSE(kp.verify(msg, high));
+  EXPECT_FALSE(kp.verify(msg, high));
+  EXPECT_TRUE(kp.verify(msg, sig));
+}
+
+TEST(Ed25519Memo, CachedRejectLeavesTrueSignatureAccepted) {
+  Rng rng(203);
+  auto kp = KeyPair::generate(rng, kZskFlags);
+  Bytes msg = to_bytes("flipped");
+  auto sig = kp.sign(msg);
+  auto bad = sig;
+  bad[32] ^= 0x01;  // S moves by one and stays below L
+  ASSERT_FALSE(kp.verify(msg, bad));
+  ASSERT_FALSE(kp.verify(msg, bad));
+  EXPECT_TRUE(kp.verify(msg, sig));
+  EXPECT_FALSE(kp.verify(msg, bad));
+}
+
+TEST(Ed25519Memo, NonPointKeyIsRejectedOnBothCalls) {
+  Rng rng(204);
+  auto kp = KeyPair::generate(rng, kZskFlags);
+  Bytes msg = to_bytes("no such point");
+  auto sig = kp.sign(msg);
+  ASSERT_TRUE(kp.verify(msg, sig));
+  // y = 2: (y^2 - 1) / (d y^2 + 1) has no square root mod p.
+  Ed25519PublicKey non_point{};
+  non_point[0] = 2;
+  EXPECT_FALSE(ed25519_verify(non_point, msg, sig));
+  EXPECT_FALSE(ed25519_verify(non_point, msg, sig));
+}
+
+TEST(Ed25519Memo, MoreTriplesThanCapacityKeepTheirResults) {
+  Rng rng(205);
+  auto kp = KeyPair::generate(rng, kZskFlags);
+  const auto triples = make_triples(
+      kp, kEd25519VerifyMemoCapacity + kEd25519VerifyMemoCapacity / 4);
+  std::size_t wrong = 0;
+  auto check = [&](std::size_t i) {
+    const SignedTriple& t = triples[i];
+    if (kp.verify(t.message, t.signature) != t.valid) ++wrong;
+  };
+  for (std::size_t i = 0; i < triples.size(); ++i) {
+    check(i);
+    check(i);                            // just stored
+    if (i % 8 == 0) check(i / 2);        // older, perhaps overwritten
+    if (i >= 64) check(i - 64);          // recent, usually still held
+  }
+  EXPECT_EQ(wrong, 0u);
+}
+
+TEST(Ed25519Memo, ThreadsVerifyOverlappingSetsConcurrently) {
+  Rng rng(206);
+  auto kp = KeyPair::generate(rng, kZskFlags);
+  const auto triples = make_triples(kp, 96);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> wrong(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    // Thread t verifies triples [24t, 24t + 48) mod 96, overlapping both
+    // neighbours by half, three times over.
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int pass = 0; pass < 3; ++pass) {
+        for (std::size_t i = 0; i < 48; ++i) {
+          const SignedTriple& x = triples[(24 * t + i) % triples.size()];
+          if (kp.verify(x.message, x.signature) != x.valid) ++wrong[t];
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong, std::vector<std::size_t>(kThreads, 0));
+}
 
 TEST(KeyPair, FlagsAndAlgorithm) {
   Rng rng(106);

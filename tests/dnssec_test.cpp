@@ -224,7 +224,8 @@ TEST(Signer, DoubleSignatureRolloverKeepsBothChainsValid) {
   Rng rng(77);
   auto old_keys = ZoneKeys::generate(rng);
   auto new_ksk = crypto::KeyPair::generate(rng, crypto::kKskFlags);
-  ZoneKeys rolling{new_ksk, old_keys.zsk, {old_keys.ksk}};
+  ZoneKeys rolling{
+      .ksk = new_ksk, .zsk = old_keys.zsk, .extra_ksks = {old_keys.ksk}};
   ASSERT_TRUE(sign_zone(zone, rolling, test_policy()).ok());
 
   const dns::RRset* dnskey_set =

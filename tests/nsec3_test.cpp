@@ -195,7 +195,7 @@ TEST(Nsec3, MatchAndCover) {
 
 TEST(Nsec3, ServerServesNsec3Denials) {
   auto signed_zone = make_nsec3_zone();
-  server::AuthServer auth(server::ServerConfig{"n3", {}, 0, 0, {}}, 1);
+  server::AuthServer auth(server::ServerConfig{.id = "n3"}, 1);
   auth.add_zone(std::make_shared<dns::Zone>(signed_zone.zone));
   const dns::Name apex = name_of("example.com.");
 

@@ -24,7 +24,7 @@ struct EngineFixture {
   explicit EngineFixture(double loss = 0.0) {
     network.set_default_link(net::LinkModel{net::kMillisecond, 0, loss});
     server = std::make_shared<server::AuthServer>(
-        server::ServerConfig{"t", {}, 0, 0, {}}, 1);
+        server::ServerConfig{.id = "t"}, 1);
     const std::string text =
         "@ IN SOA ns1 hostmaster 1 7200 3600 1209600 300\n"
         "@ IN NS ns1\n"
@@ -513,7 +513,7 @@ struct TreeFixture {
     network.set_default_link(net::LinkModel{net::kMillisecond, 0, 0.0});
     auto make = [&](const char* id) {
       return std::make_shared<server::AuthServer>(
-          server::ServerConfig{id, {}, 0, 0, {}}, 1);
+          server::ServerConfig{.id = id}, 1);
     };
     root_server = make("root");
     com_server = make("com");

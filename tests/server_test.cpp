@@ -39,8 +39,7 @@ std::shared_ptr<dns::Zone> make_zone(const std::string& apex, bool sign) {
 }
 
 AuthServer make_server(bool sign = true) {
-  AuthServer server(ServerConfig{"test", ServerBehavior::kCompliant, 0, 0, {}},
-                    1);
+  AuthServer server(ServerConfig{.id = "test"}, 1);
   server.add_zone(make_zone("example.com.", sign));
   return server;
 }
@@ -138,7 +137,7 @@ TEST(AuthServer, CdsQueryOnUnsignedZoneIsNoData) {
 
 TEST(AuthServer, LegacyBehaviorFormerrsOnModernTypes) {
   AuthServer server(
-      ServerConfig{"old", ServerBehavior::kLegacyFormerr, 0, 0, {}}, 1);
+      ServerConfig{.id = "old", .behavior = ServerBehavior::kLegacyFormerr}, 1);
   server.add_zone(make_zone("example.com.", false));
   EXPECT_EQ(ask(server, "example.com.", dns::RRType::kCDS).header.rcode,
             dns::Rcode::kFormErr);
@@ -227,7 +226,7 @@ TEST(AuthServer, MultipleQuestionsRejected) {
 }
 
 TEST(AuthServer, LongestOriginWins) {
-  AuthServer server(ServerConfig{"multi", {}, 0, 0, {}}, 1);
+  AuthServer server(ServerConfig{.id = "multi"}, 1);
   server.add_zone(make_zone("example.com.", false));
   server.add_zone(make_zone("deep.example.com.", false));
   auto zone = server.zone_for(name_of("www.deep.example.com."));
@@ -242,7 +241,7 @@ TEST(AuthServer, AttachRespondsOverNetwork) {
   net::SimNetwork network(5);
   network.set_default_link(net::LinkModel{net::kMillisecond, 0, 0.0});
   auto server = std::make_shared<AuthServer>(
-      ServerConfig{"net", {}, 0, 0, {}}, 1);
+      ServerConfig{.id = "net"}, 1);
   server->add_zone(make_zone("example.com.", false));
   auto server_addr = net::IpAddress::synthetic_v4(1);
   auto client_addr = net::IpAddress::synthetic_v4(2);
