@@ -4,6 +4,8 @@
 // benches can afford.
 #include <benchmark/benchmark.h>
 
+#include <cctype>
+
 #include "base/rng.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sha2.hpp"
@@ -235,6 +237,125 @@ void BM_ServerHandleQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServerHandleQuery);
+
+// A transport that hands a datagram straight to the bound handler and keeps
+// the reply, so a bench times the server's datagram handler (the path
+// attach() binds) without any event loop or socket around it.
+class DirectTransport final : public net::Transport {
+ public:
+  net::SimTime now() const override { return 0; }
+  std::uint64_t schedule(net::SimTime, TimerHandler) override { return 1; }
+  void cancel(std::uint64_t) override {}
+  void bind(const net::IpAddress&, DatagramHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  void unbind(const net::IpAddress&) override { handler_ = nullptr; }
+  bool is_bound(const net::IpAddress&) const override {
+    return handler_ != nullptr;
+  }
+  void send(const net::IpAddress&, const net::IpAddress&, Bytes payload,
+            bool) override {
+    reply_ = std::move(payload);
+    ++sent_;
+  }
+  std::size_t run(std::size_t) override { return 0; }
+  std::uint64_t datagrams_sent() const override { return sent_; }
+  std::uint64_t datagrams_delivered() const override { return sent_; }
+  std::uint64_t bytes_sent() const override { return 0; }
+
+  void deliver(const net::Datagram& query) { handler_(query); }
+  const Bytes& reply() const { return reply_; }
+
+ private:
+  DatagramHandler handler_;
+  Bytes reply_;
+  std::uint64_t sent_ = 0;
+};
+
+// A server of kAnswerZones signed zones, attached to a DirectTransport, and
+// the scanner's apex questions (SOA, NS, DNSKEY, CDS, CDNSKEY) for each zone
+// in `spellings` DNS-0x20 case spellings of its name. Every spelling is its
+// own cache key with the same answer work behind it.
+constexpr int kAnswerZones = 64;
+
+struct AnswerBench {
+  server::AuthServer server{server::ServerConfig{.id = "bench"}, 7};
+  DirectTransport transport;
+  std::vector<net::Datagram> queries;
+
+  explicit AnswerBench(int spellings) {
+    Rng rng(11);
+    dnssec::SigningPolicy policy;
+    policy.inception = 1000;
+    policy.expiration = 100000000;
+    std::vector<std::string> origins;
+    for (int i = 0; i < kAnswerZones; ++i) {
+      origins.push_back("zone" + std::to_string(i) + ".com.");
+      auto zone =
+          std::make_shared<dns::Zone>(name_of(origins.back().c_str()));
+      const std::string text =
+          "@ IN SOA ns1 hostmaster 1 7200 3600 1209600 300\n"
+          "@ IN NS ns1\n"
+          "@ IN NS ns2\n"
+          "ns1 IN A 192.0.2.1\n"
+          "ns2 IN A 192.0.2.2\n";
+      *zone = std::move(dns::parse_zone(text, dns::ZoneFileOptions{
+                                                  zone->origin(), 3600}))
+                  .take();
+      (void)dnssec::sign_zone(*zone, dnssec::ZoneKeys::generate(rng), policy);
+      server.add_zone(zone);
+    }
+    const net::IpAddress address = net::IpAddress::synthetic_v4(1);
+    server.attach(transport, address);
+    for (int s = 0; s < spellings; ++s) {
+      for (const std::string& origin : origins) {
+        std::string spelled = origin;
+        for (std::size_t c = 0, bit = 0; c < spelled.size(); ++c) {
+          if (std::isalpha(static_cast<unsigned char>(spelled[c])) &&
+              ((s >> bit++) & 1) != 0) {
+            spelled[c] = static_cast<char>(
+                std::toupper(static_cast<unsigned char>(spelled[c])));
+          }
+        }
+        for (dns::RRType qtype :
+             {dns::RRType::kSOA, dns::RRType::kNS, dns::RRType::kDNSKEY,
+              dns::RRType::kCDS, dns::RRType::kCDNSKEY}) {
+          net::Datagram query;
+          query.source = net::IpAddress::synthetic_v4(2);
+          query.destination = address;
+          query.payload =
+              dns::Message::make_query(9, name_of(spelled.c_str()), qtype)
+                  .encode();
+          queries.push_back(std::move(query));
+        }
+      }
+    }
+  }
+};
+
+// Repeated questions: after the first pass every query is a cache hit.
+void BM_ServerAnswerHit(benchmark::State& state) {
+  static AnswerBench bench(1);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    bench.transport.deliver(bench.queries[next++ % bench.queries.size()]);
+    benchmark::DoNotOptimize(bench.transport.reply().data());
+  }
+}
+BENCHMARK(BM_ServerAnswerHit);
+
+// Never-repeating traffic: 64 spellings of every question rotate through
+// far more answers than the cache's bound holds, so every query misses and
+// pays the full path plus the insert.
+void BM_ServerAnswerMiss(benchmark::State& state) {
+  static AnswerBench bench(64);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    bench.transport.deliver(bench.queries[next++ % bench.queries.size()]);
+    benchmark::DoNotOptimize(bench.transport.reply().data());
+  }
+}
+BENCHMARK(BM_ServerAnswerMiss);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(8);

@@ -3,9 +3,11 @@
 // surface an Internet-facing serving tier exposes. The invariant under test
 // is the serving contract from DESIGN.md §13: any input either produces a
 // well-formed DNS response (decodable, QR=1, the query's ID echoed) or is
-// dropped silently; the worker itself never dies. A second, hardened server
-// runs the same input through the defense gate (token buckets + malformed
-// shedding) to fuzz the drop paths as well.
+// dropped silently; the worker itself never dies. Each input reaches the
+// open server twice, and the second delivery — which the server may answer
+// from its answer cache — must get byte-identical replies. A second,
+// hardened server runs the same input through the defense gate (token
+// buckets + malformed shedding) to fuzz the drop paths as well.
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -71,11 +73,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   using dnsboot::dns::Message;
 
   static ServerWorld* world = new ServerWorld();  // reused across inputs
-  world->responses.clear();
 
   Bytes payload(data, data + size);
-  world->network.send(world->client, world->open_addr, payload);
-  world->network.send(world->client, world->open_addr, payload, /*tcp=*/true);
+  auto deliver_to_open = [&] {
+    world->responses.clear();
+    world->network.send(world->client, world->open_addr, payload);
+    world->network.send(world->client, world->open_addr, payload,
+                        /*tcp=*/true);
+    world->network.run();
+    return world->responses;
+  };
+  const std::vector<Bytes> first = deliver_to_open();
+  require(deliver_to_open() == first);
   world->network.send(world->client, world->hard_addr, payload);
   world->network.run();
 

@@ -122,6 +122,7 @@ scrape() {
 scrape >"$workdir/exposition.txt"
 
 for name in dnsboot_server_queries dnsboot_server_responses \
+    dnsboot_server_answer_cache_hits dnsboot_server_answer_cache_misses \
     dnsboot_wire_datagrams_sent; do
   if ! grep -q "^# TYPE $name counter" "$workdir/exposition.txt"; then
     echo "metrics_smoke: FAIL — $name missing from /metrics" >&2
@@ -129,6 +130,12 @@ for name in dnsboot_server_queries dnsboot_server_responses \
     exit 1
   fi
 done
+if ! grep -q "^# TYPE dnsboot_server_answer_cache_bytes gauge" \
+    "$workdir/exposition.txt"; then
+  echo "metrics_smoke: FAIL — dnsboot_server_answer_cache_bytes missing from /metrics" >&2
+  cat "$workdir/exposition.txt" >&2
+  exit 1
+fi
 "$script_dir/check_prometheus.sh" "$workdir/exposition.txt"
 
 # SIGTERM must flush the final registry dump (the --metrics-json file).

@@ -5,7 +5,35 @@
 
 namespace dnsboot::dns {
 
+Zone::Zone(Zone&& other) noexcept
+    : origin_(other.origin_),
+      version_(other.version_),
+      sets_(std::move(other.sets_)),
+      signatures_(std::move(other.signatures_)) {
+  ++other.version_;
+}
+
+Zone& Zone::operator=(const Zone& other) {
+  if (this == &other) return *this;
+  origin_ = other.origin_;
+  version_ = std::max(version_, other.version_) + 1;
+  sets_ = other.sets_;
+  signatures_ = other.signatures_;
+  return *this;
+}
+
+Zone& Zone::operator=(Zone&& other) noexcept {
+  if (this == &other) return *this;
+  origin_ = other.origin_;
+  version_ = std::max(version_, other.version_) + 1;
+  sets_ = std::move(other.sets_);
+  signatures_ = std::move(other.signatures_);
+  ++other.version_;
+  return *this;
+}
+
 Status Zone::add(const ResourceRecord& record) {
+  ++version_;
   if (!record.name.is_under(origin_)) {
     return Error{"zone.out_of_zone", record.name.to_text() + " not under " +
                                          origin_.to_text()};
@@ -42,11 +70,13 @@ Status Zone::add(const ResourceRecord& record) {
 }
 
 Status Zone::add_rrset(const RRset& rrset) {
+  ++version_;
   for (const auto& rr : rrset.to_records()) DNSBOOT_CHECK(add(rr));
   return Status::ok_status();
 }
 
 void Zone::remove_rrset(const Name& name, RRType type) {
+  ++version_;
   if (auto it = sets_.find(NameTypeRef{name, type}); it != sets_.end()) {
     sets_.erase(it);
   }
@@ -58,6 +88,7 @@ void Zone::remove_rrset(const Name& name, RRType type) {
 }
 
 void Zone::strip_dnssec() {
+  ++version_;
   signatures_.clear();
   for (auto it = sets_.begin(); it != sets_.end();) {
     RRType t = it->first.type;
@@ -71,6 +102,7 @@ void Zone::strip_dnssec() {
 }
 
 void Zone::remove_signatures(const Name& name, RRType covered_type) {
+  ++version_;
   if (auto it = signatures_.find(NameTypeRef{name, covered_type});
       it != signatures_.end()) {
     signatures_.erase(it);

@@ -3,6 +3,7 @@
 // delegations, CNAMEs, empty non-terminals, occlusion below zone cuts).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <vector>
@@ -15,7 +16,19 @@ class Zone {
  public:
   explicit Zone(Name origin) : origin_(std::move(origin)) {}
 
+  // A copy starts at its source's version; assignment moves the target past
+  // both versions, and a moved-from zone counts as changed.
+  Zone(const Zone& other) = default;
+  Zone(Zone&& other) noexcept;
+  Zone& operator=(const Zone& other);
+  Zone& operator=(Zone&& other) noexcept;
+
   const Name& origin() const { return origin_; }
+
+  // Content stamp: every mutator below (and every assignment) changes it,
+  // and one object's stamp never repeats, so a server's cached answer can
+  // tell whether the zone it was built from has changed since.
+  std::uint64_t version() const { return version_; }
 
   // Insert a record, merging into the owner/type RRset. Records outside the
   // zone are rejected; duplicates are suppressed.
@@ -49,6 +62,15 @@ class Zone {
   std::vector<Name> names() const;
   // Every RRset in the zone, canonical owner order.
   std::vector<RRset> all_rrsets() const;
+  // The first RRset of `type`, in canonical owner order, that satisfies
+  // `pred` — an in-place walk that copies nothing.
+  template <typename Pred>
+  const RRset* first_rrset_of(RRType type, Pred&& pred) const {
+    for (const auto& [key, set] : sets_) {
+      if (key.type == type && pred(set)) return &set;
+    }
+    return nullptr;
+  }
   std::size_t record_count() const;
 
   // True if `name` is the owner of an NS RRset below the apex (a zone cut).
@@ -95,6 +117,7 @@ class Zone {
   };
 
   Name origin_;
+  std::uint64_t version_ = 0;
   std::map<NameTypeKey, RRset, NameTypeLess> sets_;
   // RRSIGs bucketed by (owner, covered type).
   std::map<NameTypeKey, std::vector<ResourceRecord>, NameTypeLess> signatures_;

@@ -16,12 +16,28 @@ Nsec3Params params_of(const dns::Nsec3Rdata& rdata) {
 }
 
 // Hash of the first label of an NSEC3 owner name (base32hex-decoded).
-Result<Bytes> owner_hash_of(const dns::ResourceRecord& nsec3,
-                            const dns::Name& apex) {
-  if (!nsec3.name.is_strictly_under(apex) || nsec3.name.labels().empty()) {
-    return Error{"nsec3.bad_owner", nsec3.name.to_text()};
+Result<Bytes> owner_hash_of(const dns::Name& owner, const dns::Name& apex) {
+  if (!owner.is_strictly_under(apex) || owner.labels().empty()) {
+    return Error{"nsec3.bad_owner", owner.to_text()};
   }
-  return base32hex_decode(nsec3.name.labels()[0]);
+  return base32hex_decode(owner.labels()[0]);
+}
+
+// Does the NSEC3 record (owner, rdata) cover `name`'s hash?
+bool covers(const dns::Name& owner, const dns::Rdata& rdata_variant,
+            const dns::Name& apex, const dns::Name& name) {
+  const auto* rdata = std::get_if<dns::Nsec3Rdata>(&rdata_variant);
+  if (rdata == nullptr) return false;
+  auto owner_hash_result = owner_hash_of(owner, apex);
+  if (!owner_hash_result.ok()) return false;
+  const Bytes& owner_hash = owner_hash_result.value();
+  const Bytes& next_hash = rdata->next_hashed_owner;
+  Bytes target = nsec3_hash(name, params_of(*rdata));
+  if (owner_hash < next_hash) {
+    return owner_hash < target && target < next_hash;
+  }
+  // Wrap-around at the end of the hash ring.
+  return target > owner_hash || target < next_hash;
 }
 
 }  // namespace
@@ -115,25 +131,20 @@ bool nsec3_matches(const dns::ResourceRecord& nsec3, const dns::Name& apex,
                    const dns::Name& name) {
   const auto* rdata = std::get_if<dns::Nsec3Rdata>(&nsec3.rdata);
   if (rdata == nullptr) return false;
-  auto owner_hash = owner_hash_of(nsec3, apex);
+  auto owner_hash = owner_hash_of(nsec3.name, apex);
   if (!owner_hash.ok()) return false;
   return owner_hash.value() == nsec3_hash(name, params_of(*rdata));
 }
 
 bool nsec3_covers(const dns::ResourceRecord& nsec3, const dns::Name& apex,
                   const dns::Name& name) {
-  const auto* rdata = std::get_if<dns::Nsec3Rdata>(&nsec3.rdata);
-  if (rdata == nullptr) return false;
-  auto owner_hash_result = owner_hash_of(nsec3, apex);
-  if (!owner_hash_result.ok()) return false;
-  const Bytes& owner_hash = owner_hash_result.value();
-  const Bytes& next_hash = rdata->next_hashed_owner;
-  Bytes target = nsec3_hash(name, params_of(*rdata));
-  if (owner_hash < next_hash) {
-    return owner_hash < target && target < next_hash;
-  }
-  // Wrap-around at the end of the hash ring.
-  return target > owner_hash || target < next_hash;
+  return covers(nsec3.name, nsec3.rdata, apex, name);
+}
+
+bool nsec3_covers(const dns::RRset& nsec3, const dns::Name& apex,
+                  const dns::Name& name) {
+  return !nsec3.rdatas.empty() &&
+         covers(nsec3.name, nsec3.rdatas[0], apex, name);
 }
 
 bool nsec3_proves_nodata(const std::vector<dns::ResourceRecord>& nsec3s,

@@ -34,6 +34,9 @@ bool nsec3_matches(const dns::ResourceRecord& nsec3, const dns::Name& apex,
 // Does it cover `name`'s hash (strictly between owner hash and next hash)?
 bool nsec3_covers(const dns::ResourceRecord& nsec3, const dns::Name& apex,
                   const dns::Name& name);
+// The same test on the first record of a stored NSEC3 RRset, read in place.
+bool nsec3_covers(const dns::RRset& nsec3, const dns::Name& apex,
+                  const dns::Name& name);
 
 // NODATA: an NSEC3 matching `name` without `type` in its bitmap.
 bool nsec3_proves_nodata(const std::vector<dns::ResourceRecord>& nsec3s,

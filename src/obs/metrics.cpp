@@ -184,7 +184,8 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
     counter(name).add(value.get());
   }
   for (const auto& [name, value] : other.gauges_) {
-    gauge(name).set(value.get());
+    Gauge& total = gauge(name);
+    total.set(total.get() + value.get());
   }
   for (const auto& [name, value] : other.histograms_) {
     histogram(name, value.bounds()).merge(value);

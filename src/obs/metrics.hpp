@@ -158,8 +158,9 @@ class MetricsRegistry {
   // Optional # HELP text, keyed by base metric name.
   void set_help(std::string_view name, std::string_view help);
 
-  // Name-keyed addition of counters and histograms; gauges take the other
-  // side's value (last write wins — gauges are point-in-time).
+  // Name-keyed addition of counters, histograms and gauges. A gauge that
+  // reaches a merge is a per-component amount (one server's cached bytes),
+  // so the merged value is the total across components.
   void merge(const MetricsRegistry& other);
 
   // Reads. counter_value() returns 0 for unknown names (absent == never

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string_view>
 
 namespace dnsboot::resolver {
 
@@ -35,19 +37,22 @@ std::uint16_t QueryEngine::allocate_id() {
   return 0;  // exhausted (callers treat as overload)
 }
 
-std::string QueryEngine::question_key(const net::IpAddress& server,
-                                      const dns::Name& qname,
-                                      dns::RRType qtype) {
-  return server.to_text() + "|" + qname.canonical_text() + "|" +
-         dns::to_string(qtype);
+std::size_t QueryEngine::QuestionKeyHash::operator()(
+    const QuestionKey& key) const noexcept {
+  std::size_t h = net::IpAddressHash{}(key.server);
+  h ^= std::hash<std::string_view>{}(key.qname.canonical_text()) +
+       0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  h ^= (static_cast<std::size_t>(key.qtype) + 0x9e3779b97f4a7c15ull) +
+       (h << 6) + (h >> 2);
+  return h;
 }
 
 void QueryEngine::index_question(std::uint16_t id, const Pending& p) {
-  pending_by_question_.emplace(question_key(p.server, p.qname, p.qtype), id);
+  pending_by_question_.emplace(QuestionKey{p.server, p.qname, p.qtype}, id);
 }
 
 void QueryEngine::unindex_question(std::uint16_t id, const Pending& p) {
-  auto it = pending_by_question_.find(question_key(p.server, p.qname, p.qtype));
+  auto it = pending_by_question_.find(QuestionKey{p.server, p.qname, p.qtype});
   if (it != pending_by_question_.end() && it->second == id) {
     pending_by_question_.erase(it);
   }
@@ -81,8 +86,8 @@ void QueryEngine::note_forged_candidate(const net::Datagram& dgram,
   // A rejected response naming a question we do have in flight (from the
   // address we asked) is a spoof-sweep candidate against that query.
   if (message.questions.size() != 1) return;
-  auto it = pending_by_question_.find(question_key(
-      dgram.source, message.questions[0].name, message.questions[0].type));
+  auto it = pending_by_question_.find(QuestionKey{
+      dgram.source, message.questions[0].name, message.questions[0].type});
   if (it == pending_by_question_.end()) return;
   auto entry = pending_.find(it->second);
   if (entry == pending_.end()) return;

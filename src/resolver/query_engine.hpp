@@ -138,9 +138,18 @@ class QueryEngine {
   net::SimTime attempt_timeout(int attempt) const;
   net::SimTime next_backoff(Pending& p);
   bool retry_budget_available() const;
-  // Anti-spoofing bookkeeping.
-  static std::string question_key(const net::IpAddress& server,
-                                  const dns::Name& qname, dns::RRType qtype);
+  // Anti-spoofing bookkeeping: a pending question, compared as the wire
+  // compares it (Name == ignores case). The hash reads the pooled canonical
+  // text in place, so indexing a query allocates nothing.
+  struct QuestionKey {
+    net::IpAddress server;
+    dns::Name qname;
+    dns::RRType qtype;
+    bool operator==(const QuestionKey&) const = default;
+  };
+  struct QuestionKeyHash {
+    std::size_t operator()(const QuestionKey& key) const noexcept;
+  };
   void index_question(std::uint16_t id, const Pending& p);
   void unindex_question(std::uint16_t id, const Pending& p);
   // A rejected response carrying a pending question: count it against that
@@ -158,12 +167,13 @@ class QueryEngine {
   // Rate pacing: earliest time the next datagram may leave for a server.
   std::unordered_map<net::IpAddress, net::SimTime, net::IpAddressHash>
       next_free_;
-  // Forgery attribution: "server|qname|qtype" -> pending id. A rejected
+  // Forgery attribution: (server, qname, qtype) -> pending id. A rejected
   // response that names a pending question is a spoof candidate against that
   // query (the needle the birthday-abort defense counts). Duplicate
   // questions keep the first index entry; attribution is a heuristic, not a
   // correctness path.
-  std::unordered_map<std::string, std::uint16_t> pending_by_question_;
+  std::unordered_map<QuestionKey, std::uint16_t, QuestionKeyHash>
+      pending_by_question_;
   // Per-server wrong-destination-port rejections (threshold marks the
   // server) and the marked set itself.
   std::unordered_map<net::IpAddress, int, net::IpAddressHash> port_mismatches_;

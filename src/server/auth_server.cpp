@@ -57,6 +57,7 @@ void AuthServer::count_response(dns::Rcode rcode) {
 
 void AuthServer::add_zone(std::shared_ptr<const dns::Zone> zone) {
   zones_[zone->origin().canonical_text()] = std::move(zone);
+  ++generation_;
 }
 
 std::shared_ptr<const dns::Zone> AuthServer::zone_for(
@@ -185,31 +186,31 @@ dns::Message AuthServer::respond_from_zone(const dns::Message& query,
             next_closer = closest;
             closest = closest.parent();
           }
-          for (const auto& set : zone.all_rrsets()) {
-            if (set.type != dns::RRType::kNSEC3) continue;
-            dns::ResourceRecord rr = set.to_records()[0];
-            if (dnssec::nsec3_covers(rr, zone.origin(), next_closer)) {
-              append_rrset_with_sigs(zone, set, dnssec_ok,
-                                     &response.authorities);
-              break;
-            }
+          // The first covering NSEC3 in canonical order, read in place.
+          // (Injected broken chains can hold several covering records, so
+          // no ordered-predecessor shortcut.)
+          if (const dns::RRset* cover = zone.first_rrset_of(
+                  dns::RRType::kNSEC3, [&](const dns::RRset& set) {
+                    return dnssec::nsec3_covers(set, zone.origin(),
+                                                next_closer);
+                  })) {
+            append_rrset_with_sigs(zone, *cover, dnssec_ok,
+                                   &response.authorities);
           }
         } else {
-          // Covering NSEC for the denied name.
-          for (const auto& set : zone.all_rrsets()) {
-            if (set.type != dns::RRType::kNSEC) continue;
-            const auto& nsec = std::get<dns::NsecRdata>(set.rdatas[0]);
-            bool covers;
-            if (set.name < nsec.next_domain) {
-              covers = set.name < q.name && q.name < nsec.next_domain;
-            } else {
-              covers = set.name < q.name || q.name < nsec.next_domain;
-            }
-            if (covers) {
-              append_rrset_with_sigs(zone, set, dnssec_ok,
-                                     &response.authorities);
-              break;
-            }
+          // Covering NSEC for the denied name: the first in canonical
+          // order, as above.
+          if (const dns::RRset* cover = zone.first_rrset_of(
+                  dns::RRType::kNSEC, [&](const dns::RRset& set) {
+                    const auto& nsec =
+                        std::get<dns::NsecRdata>(set.rdatas[0]);
+                    if (set.name < nsec.next_domain) {
+                      return set.name < q.name && q.name < nsec.next_domain;
+                    }
+                    return set.name < q.name || q.name < nsec.next_domain;
+                  })) {
+            append_rrset_with_sigs(zone, *cover, dnssec_ok,
+                                   &response.authorities);
           }
         }
       }
@@ -253,6 +254,12 @@ dns::Message AuthServer::respond_from_zone(const dns::Message& query,
 }
 
 dns::Message AuthServer::handle(const dns::Message& query) {
+  const dns::Zone* source = nullptr;
+  return respond(query, &source);
+}
+
+dns::Message AuthServer::respond(const dns::Message& query,
+                                 const dns::Zone** source) {
   ++queries_handled_;
   dns::Message response = dns::Message::make_response(query);
   if (query.questions.size() != 1) {
@@ -281,6 +288,7 @@ dns::Message AuthServer::handle(const dns::Message& query) {
     response.header.rcode = dns::Rcode::kRefused;
     return response;
   }
+  *source = zone.get();
   response = respond_from_zone(query, *zone);
   maybe_corrupt_signatures(response);
   return response;
@@ -428,6 +436,14 @@ bool AuthServer::defense_gate(const net::IpAddress& client,
   return true;
 }
 
+bool AuthServer::answers_cacheable() const {
+  const ServerFaultProfile& faults = config_.faults;
+  return config_.transient_servfail_rate <= 0 &&
+         config_.transient_badsig_rate <= 0 &&
+         faults.slow_start_queries == 0 && faults.flap_period == 0 &&
+         faults.rate_limit_qps <= 0;
+}
+
 void AuthServer::attach(net::Transport& network,
                         const net::IpAddress& address) {
   // Re-attaching an address (e.g. moving a built ecosystem from the
@@ -437,112 +453,154 @@ void AuthServer::attach(net::Transport& network,
     addresses_.push_back(address);
   }
   network.bind(address, [this, &network](const net::Datagram& dgram) {
-    auto query = dns::Message::decode(dgram.payload);
-    if (!query.ok()) {
-      // Garbage in, silence out (as UDP would) — but observably: malformed
-      // floods are an attack signal the metrics must show.
-      ++malformed_dropped_;
-      return;
-    }
-    // Hardening gate before any work is spent on the query.
-    if (!defense_gate(dgram.source, network.now())) return;
-
-    // Chaos gates next: a slow, flapping, or rate-limited server fails the
-    // same way for AXFR streams as for plain queries.
-    std::optional<dns::Message> short_circuit;
-    net::SimTime delay =
-        fault_gate(query.value(), network.now(), &short_circuit);
-    // Replies echo the query's ports swapped, so the client's source-port
-    // check can match on transports that model ports.
-    auto send_wire = [&network, delay, source = dgram.source,
-                      destination = dgram.destination,
-                      sport = dgram.destination_port,
-                      dport = dgram.source_port](Bytes wire, bool tcp) {
-      auto make = [&](Bytes payload) {
-        net::Datagram reply;
-        reply.source = destination;
-        reply.destination = source;
-        reply.payload = std::move(payload);
-        reply.tcp = tcp;
-        reply.source_port = sport;
-        reply.destination_port = dport;
-        return reply;
-      };
-      if (delay == 0) {
-        network.send(make(std::move(wire)));
-        return;
-      }
-      network.schedule(delay, [&network, reply = make(std::move(wire))] {
-        network.send(reply);
-      });
-    };
-    // Request span for sampled queries: receipt → response handed to the
-    // transport (including any fault-gate service delay).
-    const bool traced = tracer_ != nullptr && tracer_->sample();
-    auto trace_request = [this, &network, &query, delay,
-                          received = network.now(),
-                          traced](dns::Rcode rcode) {
-      count_response(rcode);
-      if (!traced) return;
-      obs::TraceSpan span;
-      span.kind = "request";
-      span.name = query->questions.empty()
-                      ? std::string("<no question>")
-                      : query->questions[0].name.to_text() + " " +
-                            dns::to_string(query->questions[0].type);
-      span.detail = config_.id;
-      span.start_usec = received;
-      span.end_usec = network.now() + delay;
-      span.status = dns::to_string(rcode);
-      tracer_->record(std::move(span));
-    };
-    if (short_circuit.has_value()) {
-      trace_request(short_circuit->header.rcode);
-      send_wire(short_circuit->encode(), dgram.tcp);
-      return;
-    }
-
-    if (!query->questions.empty() &&
-        query->questions[0].type == dns::RRType::kAXFR) {
-      // Zone transfers run over TCP (RFC 5936 §4.2); refuse UDP attempts.
-      if (!dgram.tcp) {
-        dns::Message refusal = dns::Message::make_response(query.value());
-        refusal.header.rcode = dns::Rcode::kRefused;
-        trace_request(refusal.header.rcode);
-        send_wire(refusal.encode(), /*tcp=*/false);
-        return;
-      }
-      std::vector<dns::Message> stream = handle_axfr(query.value());
-      if (!stream.empty()) trace_request(stream.front().header.rcode);
-      for (auto& response : stream) {
-        send_wire(response.encode(), /*tcp=*/true);
-      }
-      return;
-    }
-    dns::Message response = handle(query.value());
-    trace_request(response.header.rcode);
-    Bytes wire = response.encode();
-    if (!dgram.tcp) {
-      // UDP size limit: the client's EDNS-advertised buffer, or the
-      // classic 512 bytes without EDNS (RFC 1035 §4.2.1). Oversized
-      // responses are truncated to header+question with TC set.
-      std::size_t limit = 512;
-      for (const auto& rr : query->additionals) {
-        if (rr.type == dns::RRType::kOPT) {
-          limit = std::max<std::size_t>(
-              512, static_cast<std::uint16_t>(rr.klass));
-        }
-      }
-      if (wire.size() > limit) {
-        dns::Message truncated = dns::Message::make_response(query.value());
-        truncated.header.rcode = response.header.rcode;
-        truncated.header.aa = response.header.aa;
-        truncated.header.tc = true;
-        wire = truncated.encode();
-      }
-    }
-    send_wire(std::move(wire), dgram.tcp);
+    serve_datagram(network, dgram);
   });
+}
+
+namespace {
+
+// A reply to `query`: addresses and ports swapped, so the client's
+// source-port check can match on transports that model ports.
+net::Datagram reply_to(const net::Datagram& query, Bytes payload, bool tcp) {
+  net::Datagram reply;
+  reply.source = query.destination;
+  reply.destination = query.source;
+  reply.payload = std::move(payload);
+  reply.tcp = tcp;
+  reply.source_port = query.destination_port;
+  reply.destination_port = query.source_port;
+  return reply;
+}
+
+}  // namespace
+
+void AuthServer::serve_datagram(net::Transport& network,
+                                const net::Datagram& dgram) {
+  const bool cacheable = answers_cacheable();
+  if (cacheable) {
+    if (auto hit = answers_.find(dgram.payload, dgram.tcp, generation_)) {
+      // These bytes decoded before, so only the gates a decoded query meets
+      // remain: the defense gate, then one sampling decision. (A cacheable
+      // server's fault gate is inert.)
+      if (!defense_gate(dgram.source, network.now())) return;
+      if (tracer_ == nullptr || !tracer_->sample()) {
+        ++queries_handled_;
+        count_response(hit->rcode);
+        ++answer_cache_hits_;
+        network.send(reply_to(dgram, std::move(hit->reply), dgram.tcp));
+        return;
+      }
+      // A sampled request is traced on the full path.
+      serve_query(network, dgram,
+                  std::move(dns::Message::decode(dgram.payload)).take(),
+                  /*traced=*/true, /*fill_cache=*/false);
+      return;
+    }
+  }
+  auto query = dns::Message::decode(dgram.payload);
+  if (!query.ok()) {
+    // Garbage in, silence out (as UDP would) — but observably: malformed
+    // floods are an attack signal the metrics must show.
+    ++malformed_dropped_;
+    return;
+  }
+  // Hardening gate before any work is spent on the query.
+  if (!defense_gate(dgram.source, network.now())) return;
+  const bool traced = tracer_ != nullptr && tracer_->sample();
+  serve_query(network, dgram, query.value(), traced, cacheable && !traced);
+}
+
+void AuthServer::serve_query(net::Transport& network,
+                             const net::Datagram& dgram,
+                             const dns::Message& query, bool traced,
+                             bool fill_cache) {
+  // Chaos gates next: a slow, flapping, or rate-limited server fails the
+  // same way for AXFR streams as for plain queries.
+  std::optional<dns::Message> short_circuit;
+  net::SimTime delay = fault_gate(query, network.now(), &short_circuit);
+  auto send_wire = [&network, &dgram, delay](Bytes wire, bool tcp) {
+    net::Datagram reply = reply_to(dgram, std::move(wire), tcp);
+    if (delay == 0) {
+      network.send(std::move(reply));
+      return;
+    }
+    network.schedule(delay, [&network, reply = std::move(reply)] {
+      network.send(reply);
+    });
+  };
+  // Request span for sampled queries: receipt → response handed to the
+  // transport (including any fault-gate service delay).
+  auto trace_request = [this, &network, &query, delay,
+                        received = network.now(),
+                        traced](dns::Rcode rcode) {
+    count_response(rcode);
+    if (!traced) return;
+    obs::TraceSpan span;
+    span.kind = "request";
+    span.name = query.questions.empty()
+                    ? std::string("<no question>")
+                    : query.questions[0].name.to_text() + " " +
+                          dns::to_string(query.questions[0].type);
+    span.detail = config_.id;
+    span.start_usec = received;
+    span.end_usec = network.now() + delay;
+    span.status = dns::to_string(rcode);
+    tracer_->record(std::move(span));
+  };
+  if (short_circuit.has_value()) {
+    trace_request(short_circuit->header.rcode);
+    send_wire(short_circuit->encode(), dgram.tcp);
+    return;
+  }
+
+  if (!query.questions.empty() &&
+      query.questions[0].type == dns::RRType::kAXFR) {
+    // Zone transfers run over TCP (RFC 5936 §4.2); refuse UDP attempts.
+    if (!dgram.tcp) {
+      dns::Message refusal = dns::Message::make_response(query);
+      refusal.header.rcode = dns::Rcode::kRefused;
+      trace_request(refusal.header.rcode);
+      send_wire(refusal.encode(), /*tcp=*/false);
+      return;
+    }
+    std::vector<dns::Message> stream = handle_axfr(query);
+    if (!stream.empty()) trace_request(stream.front().header.rcode);
+    for (auto& response : stream) {
+      send_wire(response.encode(), /*tcp=*/true);
+    }
+    return;
+  }
+  const dns::Zone* zone = nullptr;
+  dns::Message response = respond(query, &zone);
+  trace_request(response.header.rcode);
+  Bytes wire = response.encode();
+  if (!dgram.tcp) {
+    // UDP size limit: the client's EDNS-advertised buffer, or the
+    // classic 512 bytes without EDNS (RFC 1035 §4.2.1). Oversized
+    // responses are truncated to header+question with TC set.
+    std::size_t limit = 512;
+    for (const auto& rr : query.additionals) {
+      if (rr.type == dns::RRType::kOPT) {
+        limit = std::max<std::size_t>(
+            512, static_cast<std::uint16_t>(rr.klass));
+      }
+    }
+    if (wire.size() > limit) {
+      dns::Message truncated = dns::Message::make_response(query);
+      truncated.header.rcode = response.header.rcode;
+      truncated.header.aa = response.header.aa;
+      truncated.header.tc = true;
+      wire = truncated.encode();
+    }
+  }
+  if (fill_cache) {
+    ++answer_cache_misses_;
+    answers_.insert(dgram.payload, dgram.tcp, wire,
+                    {zone, zone != nullptr ? zone->version() : 0,
+                     generation_});
+    answer_cache_bytes_.set(static_cast<double>(answers_.bytes()));
+  }
+  send_wire(std::move(wire), dgram.tcp);
 }
 
 }  // namespace dnsboot::server

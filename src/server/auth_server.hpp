@@ -25,6 +25,7 @@
 #include "net/transport.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
+#include "server/answer_cache.hpp"
 
 namespace dnsboot::server {
 
@@ -109,7 +110,8 @@ class AuthServer {
   }
 
   // Serve a zone. Zones are shared (an operator's servers all serve the same
-  // zone objects).
+  // zone objects). Every call starts a new zone-set generation, which
+  // retires every cached answer.
   void add_zone(std::shared_ptr<const dns::Zone> zone);
   // The zone whose origin is the longest suffix of `name`, if any.
   std::shared_ptr<const dns::Zone> zone_for(const dns::Name& name) const;
@@ -131,7 +133,9 @@ class AuthServer {
   std::vector<dns::Message> handle_axfr(const dns::Message& query);
 
   // Bind this server to an address on the simulated network. May be called
-  // many times (anycast pool: every pool address answers identically).
+  // many times (anycast pool: every pool address answers identically). The
+  // bound handler answers repeated questions from the server's answer cache
+  // (AnswerCache, DESIGN.md §10.6) with the bytes the full path would send.
   void attach(net::Transport& network, const net::IpAddress& address);
 
   // Every address this server has been attached to, in attach order. The
@@ -146,6 +150,11 @@ class AuthServer {
   // Defense outcome counters.
   std::uint64_t client_throttled() const { return client_throttled_; }
   std::uint64_t malformed_dropped() const { return malformed_dropped_; }
+  // Answer-cache outcome counters and the cache itself. A miss is a query
+  // the cache could have served that took the full path.
+  std::uint64_t answer_cache_hits() const { return answer_cache_hits_; }
+  std::uint64_t answer_cache_misses() const { return answer_cache_misses_; }
+  const AnswerCache& answer_cache() const { return answers_; }
 
   // The server's dnsboot_server_* counters, including the per-rcode
   // response family (all family members are pre-created at construction, so
@@ -158,6 +167,16 @@ class AuthServer {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
+  // handle(), also reporting the zone the answer was built from (null when
+  // none was).
+  dns::Message respond(const dns::Message& query, const dns::Zone** source);
+  // The handler attach() binds, and its uncached path for a decoded query.
+  void serve_datagram(net::Transport& network, const net::Datagram& dgram);
+  void serve_query(net::Transport& network, const net::Datagram& dgram,
+                   const dns::Message& query, bool traced, bool fill_cache);
+  // True when no answer draws on the RNG or a fault gate, so equal query
+  // bytes always get equal reply bytes.
+  bool answers_cacheable() const;
   net::SimTime fault_gate(const dns::Message& query, net::SimTime now,
                           std::optional<dns::Message>* short_circuit);
   // Per-client token bucket (RRL-style): false means drop the query
@@ -177,11 +196,14 @@ class AuthServer {
   Rng rng_;
   // Keyed by canonical origin text for longest-suffix lookup.
   std::map<std::string, std::shared_ptr<const dns::Zone>> zones_;
+  // Bumped by add_zone(); a cached answer is valid only in its generation.
+  std::uint64_t generation_ = 0;
+  AnswerCache answers_;
   std::vector<net::IpAddress> addresses_;
 
   // Registry before its views (members initialize in declaration order).
   // Single-writer contract (enforced under DNSBOOT_VERIFY): an AuthServer
-  // handles queries on exactly one serving thread, and only handle_query()
+  // handles queries on exactly one serving thread, and only the query path
   // writes these counters — construction binds the refs but writes nothing,
   // so the first write claims them for the serving thread. Scrapers read
   // through registry copies, never through these references.
@@ -197,6 +219,12 @@ class AuthServer {
       metrics_.counter("dnsboot_server_client_throttled")};
   obs::CounterRef malformed_dropped_{
       metrics_.counter("dnsboot_server_malformed_dropped")};
+  obs::CounterRef answer_cache_hits_{
+      metrics_.counter("dnsboot_server_answer_cache_hits")};
+  obs::CounterRef answer_cache_misses_{
+      metrics_.counter("dnsboot_server_answer_cache_misses")};
+  obs::Gauge& answer_cache_bytes_{
+      metrics_.gauge("dnsboot_server_answer_cache_bytes")};
   // Per-rcode response family, pre-bound for rcodes 0..5 plus "other".
   std::vector<obs::Counter*> rcode_counters_;
   obs::Tracer* tracer_ = nullptr;
@@ -219,3 +247,4 @@ class AuthServer {
 };
 
 }  // namespace dnsboot::server
+

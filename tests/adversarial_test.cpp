@@ -322,6 +322,32 @@ TEST(Adversarial, SourcePortCheckRejectsWrongPortResponses) {
   EXPECT_EQ(engine.defense().accepted_forgeries, 0u);
 }
 
+TEST(Adversarial, CaseFoldedSpoofCountsAgainstPendingQuery) {
+  // Wrong-ID candidates are attributed to a pending question the way the
+  // wire compares names: case-insensitively (a 0x20-randomized sweep must
+  // not slip past the birthday counter). The queried server never answers,
+  // so the query stays pending while the candidates arrive.
+  EngineFixture fx;
+  const net::IpAddress silent = net::IpAddress::synthetic_v4(77);
+  resolver::QueryEngineOptions options;
+  options.randomize_ids = false;  // the pending query holds id 1
+  resolver::QueryEngine engine(fx.network, fx.client, options);
+  engine.query(silent, name_of("www.example.com."), dns::RRType::kA,
+               [](Result<dns::Message>) {});
+  auto candidate = [&](const char* qname) {
+    dns::Message forged =
+        dns::Message::make_query(2, name_of(qname), dns::RRType::kA, false);
+    forged.header.qr = true;
+    fx.network.send(silent, fx.client, forged.encode());
+  };
+  candidate("WWW.Example.COM.");
+  candidate("www.EXAMPLE.com.");
+  candidate("other.example.com.");  // a different question: not counted
+  fx.network.run_until(100 * net::kMillisecond);
+  EXPECT_EQ(engine.defense().forged_rejected, 2u);
+  EXPECT_EQ(engine.in_flight(), 1u);
+}
+
 // --- Targeted server defenses ----------------------------------------------
 
 TEST(Adversarial, ServerTokenBucketShedsFloodingClient) {

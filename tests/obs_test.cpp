@@ -97,9 +97,12 @@ TEST(MetricsRegistryTest, MergeSumsByName) {
   b.counter("only_b").add(5);
   a.histogram("h", {10}).observe(3);
   b.histogram("h", {10}).observe(30);
+  a.gauge("g").set(1.5);
+  b.gauge("g").set(2.0);
   a.merge(b);
 
   EXPECT_EQ(a.counter_value("x"), 3u);
+  EXPECT_EQ(a.gauge("g").get(), 3.5);
   EXPECT_EQ(a.counter_value("only_b"), 5u);
   const obs::Histogram* h = a.find_histogram("h");
   ASSERT_NE(h, nullptr);
