@@ -3,24 +3,24 @@
 // wrong-tuple injections, truncation games, garbage — DESIGN.md §13).
 // Reported per run: scan throughput and simulated RTT tail under attack vs
 // clean, the attack/defense ledger, and the headline correctness gate — the
-// per-zone report must be byte-identical (module the under_attack
+// per-zone report must be byte-identical (modulo the under_attack
 // provenance column) between the two runs. --fail-if-slower additionally
 // gates on the attacked run's wall-clock throughput.
 //
 // Usage: bench_adversarial [--scale F] [--seed S] [--json PATH]
 //                          [--fail-if-slower]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "analysis/report_io.hpp"
 #include "analysis/survey.hpp"
+#include "base/strings.hpp"
 #include "bench_json.hpp"
-#include "ecosystem/builder.hpp"
-#include "ecosystem/chaos.hpp"
+#include "ecosystem/world.hpp"
 #include "obs/stats.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
@@ -53,16 +53,30 @@ struct RunMeasurement {
   }
 };
 
-std::string strip_last_column(const std::string& csv) {
+// `csv` without the column headed `column`. The column is located by its
+// header name and cut counting from the end of each row, so quoted commas
+// in earlier fields (zone names, dnssec_reason) cannot shift it.
+std::string drop_column(const std::string& csv, const std::string& column) {
+  const std::vector<std::string> header =
+      split(csv.substr(0, csv.find('\n')), ',');
+  const auto at = std::find(header.begin(), header.end(), column);
+  if (at == header.end()) return csv;
+  const std::size_t after = static_cast<std::size_t>(header.end() - at) - 1;
   std::string out;
   std::size_t start = 0;
   while (start < csv.size()) {
     std::size_t end = csv.find('\n', start);
     if (end == std::string::npos) end = csv.size();
-    std::string line = csv.substr(start, end - start);
-    std::size_t comma = line.rfind(',');
-    if (comma != std::string::npos) line.resize(comma);
-    out += line;
+    const std::string line = csv.substr(start, end - start);
+    // [cut, keep) is the comma before the column plus the column itself.
+    std::size_t keep = line.size();
+    std::size_t cut = line.size();
+    for (std::size_t i = 0; i <= after && cut != std::string::npos; ++i) {
+      keep = cut;
+      cut = cut == 0 ? std::string::npos : line.rfind(',', cut - 1);
+    }
+    out += cut == std::string::npos ? line
+                                    : line.substr(0, cut) + line.substr(keep);
     out += '\n';
     start = end + 1;
   }
@@ -72,19 +86,11 @@ std::string strip_last_column(const std::string& csv) {
 RunMeasurement run_once(double eco_scale, std::uint64_t seed,
                         const std::string& preset) {
   auto wall_start = std::chrono::steady_clock::now();
-  net::SimNetwork network(seed ^ 0xd15b007);
-  network.set_default_link(
-      net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-  ecosystem::EcosystemConfig config;
-  config.seed = seed;
-  config.scale = eco_scale;
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
-  ecosystem::ChaosPlan plan;
-  if (preset != "off") {
-    plan = ecosystem::apply_chaos(network, eco,
-                                  ecosystem::chaos_preset(preset));
-  }
+  ecosystem::WorldSpec spec = ecosystem::seeded_spec(seed, eco_scale);
+  spec.chaos = preset;
+  const ecosystem::World world = ecosystem::build_world(spec);
+  net::SimNetwork& network = *world.network;
+  const ecosystem::Ecosystem& eco = world.eco;
 
   // Engine options identical across presets on purpose: the identity gate
   // compares the two runs' reports.
@@ -104,13 +110,14 @@ RunMeasurement run_once(double eco_scale, std::uint64_t seed,
           result.metrics->find_histogram("dnsboot_engine_rtt_usec")) {
     m.rtt_usec = *rtt;
   }
-  m.report_csv = strip_last_column(analysis::reports_to_csv(result.reports));
+  m.report_csv =
+      drop_column(analysis::reports_to_csv(result.reports), "under_attack");
   m.injected = network.attack_stats().total_injected();
   obs::DefenseStats defense(*result.metrics);
   m.forged_rejected = defense.forged_rejected;
   m.forgery_aborts = defense.forgery_aborts;
   m.accepted_forgeries = defense.accepted_forgeries;
-  m.endpoints_attacked = plan.endpoints_attacked;
+  m.endpoints_attacked = world.chaos.endpoints_attacked;
   m.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - wall_start)
                   .count();
@@ -158,28 +165,17 @@ int main(int argc, char** argv) {
   std::string json_path;
   bool fail_if_slower = false;
 
-  for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      scale = std::atof(need_value("--scale"));
-      if (scale <= 0) return 2;
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need_value("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need_value("--json");
-    } else if (std::strcmp(argv[i], "--fail-if-slower") == 0) {
-      fail_if_slower = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
-  }
+  cli::FlagParser parser(
+      "bench_adversarial — survey throughput and report identity, clean vs\n"
+      "the adversarial chaos preset");
+  parser.value("--scale", &scale,
+               "population relative to 1/40000 of the paper's", 1e-9);
+  parser.value("--seed", &seed, "ecosystem seed");
+  parser.value("--json", &json_path, "PATH", "bench JSON output path");
+  parser.flag("--fail-if-slower", &fail_if_slower,
+              "exit non-zero when the attacked run is over 4x slower");
+  if (!parser.parse(argc, argv)) return 2;
+  if (parser.help_requested()) return 0;
 
   const double eco_scale = scale / kReferenceDenom;
   std::printf(

@@ -8,7 +8,6 @@
 #include <chrono>
 
 #include "bench_json.hpp"
-#include "ecosystem/chaos.hpp"
 
 namespace {
 
@@ -43,14 +42,13 @@ struct ChaosResult {
 ChaosResult run_once(double scale, const std::string& preset, bool adaptive,
                      int scan_attempts) {
   auto wall_start = std::chrono::steady_clock::now();
-  net::SimNetwork network(20250705);
-  network.set_default_link(
-      net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-  ecosystem::EcosystemConfig config;
-  config.scale = scale;
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
-  ecosystem::apply_chaos(network, eco, ecosystem::chaos_preset(preset));
+  ecosystem::WorldSpec spec;
+  spec.config.scale = scale;
+  spec.network_seed = 20250705;
+  spec.chaos = preset;
+  const ecosystem::World world = ecosystem::build_world(spec);
+  net::SimNetwork& network = *world.network;
+  const ecosystem::Ecosystem& eco = world.eco;
 
   analysis::SurveyRunOptions options;
   if (adaptive) {

@@ -24,7 +24,7 @@
 #include <string>
 
 #include "bench_json.hpp"
-#include "ecosystem/plan.hpp"
+#include "ecosystem/world.hpp"
 #include "kasp/clock.hpp"
 #include "longitudinal/monitor.hpp"
 #include "tools/cli.hpp"
@@ -63,13 +63,12 @@ struct LiveRun {
 
 LiveRun run_live(double scale_denom, std::uint64_t seed,
                  std::uint64_t sim_days_usec) {
-  net::SimNetwork network(seed ^ 0xd15b007);
-  ecosystem::EcosystemConfig config;
-  config.seed = seed;
-  config.scale = 1.0 / scale_denom;
-  const ecosystem::EcosystemPlan plan = ecosystem::make_ecosystem_plan(config);
-  ecosystem::Ecosystem eco =
-      ecosystem::build_shard(network, config, plan, 0, 1);
+  // dnsboot-monitor's world: the tools' spec on the simulator's default link.
+  ecosystem::WorldSpec spec = ecosystem::seeded_spec(seed, 1.0 / scale_denom);
+  spec.link = net::LinkModel{};
+  ecosystem::World world = ecosystem::build_world(spec);
+  net::SimNetwork& network = *world.network;
+  ecosystem::Ecosystem& eco = world.eco;
 
   resolver::QueryEngine registry_engine(
       network, net::IpAddress::v4({192, 0, 2, 252}), {});

@@ -12,13 +12,12 @@ int main() {
   std::printf("bench_registry — App. D: registry-side RFC 9615 deployment\n");
 
   // A dedicated world: moderate size so the full registry pass stays fast.
-  net::SimNetwork network(777);
-  network.set_default_link(
-      net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-  ecosystem::EcosystemConfig config;
-  config.scale = 1.0 / 100000;
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  ecosystem::WorldSpec spec;
+  spec.config.scale = 1.0 / 100000;
+  spec.network_seed = 777;
+  ecosystem::World world = ecosystem::build_world(spec);
+  net::SimNetwork& network = *world.network;
+  ecosystem::Ecosystem& eco = world.eco;
 
   resolver::QueryEngineOptions engine_options;  // paper's 50 qps default
   resolver::QueryEngine engine(network, net::IpAddress::v4({192, 0, 2, 247}),

@@ -26,13 +26,12 @@ struct AblationResult {
 AblationResult run_once(double scale, bool pool_sampling, double qps,
                         bool signal_scan) {
   auto wall_start = std::chrono::steady_clock::now();
-  net::SimNetwork network(99);
-  network.set_default_link(
-      net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-  ecosystem::EcosystemConfig config;
-  config.scale = scale;
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  ecosystem::WorldSpec spec;
+  spec.config.scale = scale;
+  spec.network_seed = 99;
+  const ecosystem::World world = ecosystem::build_world(spec);
+  net::SimNetwork& network = *world.network;
+  const ecosystem::Ecosystem& eco = world.eco;
 
   analysis::SurveyRunOptions options;
   options.engine.per_server_qps = qps;
@@ -127,13 +126,12 @@ int main() {
   // --- §3 acquisition ablation: AXFR zone files vs CT-log samples ---------
   std::printf("\n== target acquisition (§3/§3.1) ==\n");
   {
-    net::SimNetwork network(98);
-    network.set_default_link(
-        net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-    ecosystem::EcosystemConfig config;
-    config.scale = 1.0 / 50000;
-    ecosystem::EcosystemBuilder builder(network, config);
-    auto eco = builder.build();
+    ecosystem::WorldSpec spec;
+    spec.config.scale = 1.0 / 50000;
+    spec.network_seed = 98;
+    const ecosystem::World world = ecosystem::build_world(spec);
+    net::SimNetwork& network = *world.network;
+    const ecosystem::Ecosystem& eco = world.eco;
     resolver::QueryEngine engine(network, net::IpAddress::v4({192, 0, 2, 243}),
                                  resolver::QueryEngineOptions{});
     resolver::DelegationResolver delegation_resolver(engine, eco.hints);

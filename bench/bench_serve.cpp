@@ -21,11 +21,9 @@
 #include <thread>
 #include <vector>
 
-#include "base/strings.hpp"
 #include "bench_json.hpp"
 #include "dns/message.hpp"
-#include "ecosystem/builder.hpp"
-#include "net/simnet.hpp"
+#include "ecosystem/world.hpp"
 #include "net/wire/wire_transport.hpp"
 #include "tools/cli.hpp"
 
@@ -34,8 +32,7 @@ namespace {
 using namespace dnsboot;
 
 struct ServeWorker {
-  std::unique_ptr<net::SimNetwork> buildnet;
-  std::shared_ptr<ecosystem::Ecosystem> eco;
+  ecosystem::World world;
   std::unique_ptr<net::WireTransport> transport;
   std::thread thread;
 };
@@ -53,20 +50,16 @@ struct RunMeasurement {
   }
 };
 
-// Build one serving worker, mirroring tools/dnsboot_serve.cpp (same derived
-// network seed, so the two would serve identical worlds for a seed).
+// Build one serving worker, mirroring tools/dnsboot_serve.cpp (same spec,
+// so the two would serve identical worlds for a seed).
 bool make_worker(double scale_denom, std::uint64_t seed,
                  const net::RealEndpoint& base, bool reuse_port,
                  ServeWorker* worker, std::string* error) {
-  worker->buildnet = std::make_unique<net::SimNetwork>(seed ^ 0xd15b007);
-  ecosystem::EcosystemConfig config;
-  config.seed = seed;
-  config.scale = 1.0 / scale_denom;
-  ecosystem::EcosystemBuilder builder(*worker->buildnet, config);
-  worker->eco = std::make_shared<ecosystem::Ecosystem>(builder.build());
+  worker->world =
+      ecosystem::build_world(ecosystem::seeded_spec(seed, 1.0 / scale_denom));
 
   net::WireAddressMap map(base);
-  for (const auto& server : worker->eco->servers) {
+  for (const auto& server : worker->world.eco.servers) {
     for (const auto& address : server->addresses()) {
       if (!map.add(address)) {
         *error = "port space exhausted; lower --listen or the scale";
@@ -77,7 +70,7 @@ bool make_worker(double scale_denom, std::uint64_t seed,
   net::WireTransportOptions options;
   options.reuse_port = reuse_port;
   worker->transport = std::make_unique<net::WireTransport>(map, options);
-  for (const auto& server : worker->eco->servers) {
+  for (const auto& server : worker->world.eco.servers) {
     for (const auto& address : server->addresses()) {
       server->attach(*worker->transport, address);
     }
@@ -108,7 +101,7 @@ RunMeasurement run_once(double scale_denom, std::uint64_t seed,
         std::thread([&worker] { worker.transport->run_forever(); });
   }
 
-  const auto& eco = *serve[0].eco;
+  const ecosystem::Ecosystem& eco = serve[0].world.eco;
   const std::vector<net::IpAddress>& roots = eco.hints.servers;
   const std::vector<dns::Name>& targets = eco.scan_targets;
 
@@ -195,7 +188,7 @@ int main(int argc, char** argv) {
   double scale_denom = 1000000;
   std::uint64_t seed = 1;
   std::string listen = "127.0.0.1:5400";
-  std::string workers_arg = "1,2";
+  std::vector<std::size_t> worker_counts{1, 2};
   std::uint64_t queries = 4000;
   std::uint64_t inflight = 64;
   std::string json_path;
@@ -206,8 +199,8 @@ int main(int argc, char** argv) {
   parser.value("--scale-denom", &scale_denom, "world scale divisor", 1e-9);
   parser.value("--seed", &seed, "ecosystem seed");
   parser.value("--listen", &listen, "HOST:PORT", "base serving endpoint");
-  parser.value("--workers", &workers_arg, "LIST",
-               "comma-separated worker counts to measure");
+  parser.value("--workers", &worker_counts,
+               "comma-separated worker counts to measure", 1);
   parser.value("--queries", &queries, "queries per run", 1);
   parser.value("--inflight", &inflight, "client send window", 1);
   parser.value("--json", &json_path, "PATH", "bench JSON output path");
@@ -219,15 +212,6 @@ int main(int argc, char** argv) {
   auto base = net::parse_endpoint(listen);
   if (!base) {
     std::fprintf(stderr, "--listen requires HOST:PORT\n");
-    return 2;
-  }
-  std::vector<std::size_t> worker_counts;
-  for (const std::string& part : split(workers_arg, ',')) {
-    int v = std::atoi(part.c_str());
-    if (v >= 1) worker_counts.push_back(static_cast<std::size_t>(v));
-  }
-  if (worker_counts.empty()) {
-    std::fprintf(stderr, "--workers needs at least one count\n");
     return 2;
   }
   if (queries > 0xffff) queries = 0xffff;  // DNS ids index the latency table

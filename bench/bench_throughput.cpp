@@ -18,14 +18,11 @@
 // slices, not the whole population.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "analysis/parallel.hpp"
 #include "analysis/report_io.hpp"
-#include "base/strings.hpp"
 #include "bench_json.hpp"
-#include "ecosystem/plan.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
@@ -60,31 +57,15 @@ struct RunMeasurement {
   }
 };
 
-RunMeasurement run_once(const ecosystem::EcosystemPlan& plan,
-                        const ecosystem::EcosystemConfig& config,
-                        std::uint64_t seed, std::size_t shards,
-                        std::size_t threads) {
-  auto source = [&plan, &config, shards](
-                    std::size_t shard,
-                    std::uint64_t net_seed) -> analysis::ShardWorld {
-    analysis::ShardWorld world;
-    world.network = std::make_unique<net::SimNetwork>(net_seed);
-    world.network->set_default_link(
-        net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-    auto eco = std::make_shared<ecosystem::Ecosystem>(
-        ecosystem::build_shard(*world.network, config, plan, shard, shards));
-    world.hints = eco->hints;
-    world.targets = std::move(eco->scan_targets);
-    world.ns_domain_to_operator = eco->ns_domain_to_operator;
-    world.now = eco->now;
-    world.keepalive = std::move(eco);
-    return world;
-  };
-
+RunMeasurement run_once(const ecosystem::WorldSpec& spec,
+                        const ecosystem::EcosystemPlan& plan,
+                        std::size_t shards, std::size_t threads) {
   analysis::ShardedSurveyOptions options;
   options.shards = shards;
   options.threads = threads;
-  options.base_network_seed = seed ^ 0xd15b007;
+  auto source = [&spec, &plan, shards](std::size_t shard) {
+    return ecosystem::build_world(spec, plan, shard, shards);
+  };
 
   RunMeasurement m;
   m.rss_reset_ok = bench::reset_peak_rss();
@@ -110,15 +91,6 @@ RunMeasurement run_once(const ecosystem::EcosystemPlan& plan,
   return m;
 }
 
-std::vector<std::size_t> parse_thread_list(const char* arg) {
-  std::vector<std::size_t> out;
-  for (const std::string& part : split(arg, ',')) {
-    int v = std::atoi(part.c_str());
-    if (v >= 1) out.push_back(static_cast<std::size_t>(v));
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,37 +102,24 @@ int main(int argc, char** argv) {
   bool fail_if_slower = false;
   double max_bytes_per_zone = 0;  // 0 = gate off
 
-  for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      scale = std::atof(need_value("--scale"));
-      if (scale <= 0) return 2;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      thread_counts = parse_thread_list(need_value("--threads"));
-      if (thread_counts.empty()) return 2;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = static_cast<std::size_t>(std::atoi(need_value("--shards")));
-      if (shards < 1) return 2;
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need_value("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need_value("--json");
-    } else if (std::strcmp(argv[i], "--fail-if-slower") == 0) {
-      fail_if_slower = true;
-    } else if (std::strcmp(argv[i], "--max-bytes-per-zone") == 0) {
-      max_bytes_per_zone = std::atof(need_value("--max-bytes-per-zone"));
-      if (max_bytes_per_zone <= 0) return 2;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
-  }
+  cli::FlagParser parser(
+      "bench_throughput — zones/s, events/s and peak RSS of the sharded\n"
+      "survey executor per thread count, with a report identity check");
+  parser.value("--scale", &scale,
+               "population relative to 1/40000 of the paper's", 1e-9);
+  parser.value("--threads", &thread_counts,
+               "comma-separated thread counts to measure", 1);
+  parser.value("--shards", &shards, "zone shards", 1);
+  parser.value("--seed", &seed, "ecosystem seed");
+  parser.value("--json", &json_path, "PATH", "bench JSON output path");
+  parser.flag("--fail-if-slower", &fail_if_slower,
+              "exit non-zero when the last thread count is slower than the "
+              "first");
+  parser.value("--max-bytes-per-zone", &max_bytes_per_zone,
+               "fail when peak RSS per zone exceeds this (default: off)",
+               1e-9);
+  if (!parser.parse(argc, argv)) return 2;
+  if (parser.help_requested()) return 0;
 
   const double eco_scale = scale / kReferenceDenom;
   std::printf(
@@ -170,15 +129,14 @@ int main(int argc, char** argv) {
 
   // The plan is the shared immutable half of world construction: computed
   // once, read concurrently by every shard worker in every run.
-  ecosystem::EcosystemConfig config;
-  config.seed = seed;
-  config.scale = eco_scale;
-  const ecosystem::EcosystemPlan plan = ecosystem::make_ecosystem_plan(config);
+  const ecosystem::WorldSpec spec = ecosystem::seeded_spec(seed, eco_scale);
+  const ecosystem::EcosystemPlan plan =
+      ecosystem::make_ecosystem_plan(spec.config);
 
   std::vector<RunMeasurement> runs;
   bool identical = true;
   for (std::size_t threads : thread_counts) {
-    RunMeasurement m = run_once(plan, config, seed, shards, threads);
+    RunMeasurement m = run_once(spec, plan, shards, threads);
     if (!runs.empty() && m.report_json != runs.front().report_json) {
       identical = false;
     }

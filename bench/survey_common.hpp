@@ -14,14 +14,12 @@
 
 #include "analysis/survey.hpp"
 #include "base/strings.hpp"
-#include "ecosystem/builder.hpp"
+#include "ecosystem/world.hpp"
 
 namespace dnsboot::bench {
 
 struct SurveyFixture {
   double scale = 1.0 / 4000;
-  net::SimNetwork network{20250705};
-  ecosystem::Ecosystem eco;
   analysis::SurveyRunResult result;
 
   // Rescale a measured count to the full population for paper comparison.
@@ -40,22 +38,21 @@ inline double scale_from_env() {
 inline SurveyFixture run_paper_survey(bool keep_reports = false) {
   SurveyFixture fixture;
   fixture.scale = scale_from_env();
-  fixture.network.set_default_link(
-      net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
 
-  ecosystem::EcosystemConfig config;
-  config.scale = fixture.scale;
-  ecosystem::EcosystemBuilder builder(fixture.network, config);
-  fixture.eco = builder.build();
+  ecosystem::WorldSpec spec;
+  spec.config.scale = fixture.scale;
+  spec.network_seed = 20250705;
+  const ecosystem::World world = ecosystem::build_world(spec);
+  const ecosystem::Ecosystem& eco = world.eco;
   std::printf("# population: %zu zones (scale 1/%.0f), %llu signed\n",
-              fixture.eco.scan_targets.size(), 1.0 / fixture.scale,
-              static_cast<unsigned long long>(fixture.eco.zones_signed));
+              eco.scan_targets.size(), 1.0 / fixture.scale,
+              static_cast<unsigned long long>(eco.zones_signed));
 
   analysis::SurveyRunOptions options;
   options.keep_reports = keep_reports;
-  fixture.result = analysis::run_survey(
-      fixture.network, fixture.eco.hints, fixture.eco.scan_targets,
-      fixture.eco.ns_domain_to_operator, fixture.eco.now, options);
+  fixture.result =
+      analysis::run_survey(*world.network, eco.hints, eco.scan_targets,
+                           eco.ns_domain_to_operator, eco.now, options);
   return fixture;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "crypto/keys.hpp"
+#include "ecosystem/world.hpp"
 #include "registry/cds_processor.hpp"
 
 using namespace dnsboot;
@@ -28,9 +29,6 @@ const char* status_name(dnssec::ZoneDnssecStatus status) {
 }  // namespace
 
 int main() {
-  net::SimNetwork network(90);
-  network.set_default_link(net::LinkModel{net::kMillisecond, 0, 0.0});
-
   // One operator, one secured customer zone under .se.
   ecosystem::OperatorProfile op;
   op.name = "RollHost";
@@ -40,12 +38,15 @@ int main() {
   op.domains = 1;
   op.secured = 1;
   op.cds_domains = 1;
-  ecosystem::EcosystemConfig config;
-  config.scale = 1.0;
-  config.operators = {op};
-  config.inject_pathologies = false;
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  ecosystem::WorldSpec spec;
+  spec.config.scale = 1.0;
+  spec.config.operators = {op};
+  spec.config.inject_pathologies = false;
+  spec.network_seed = 90;
+  spec.link = net::LinkModel{net::kMillisecond, 0, 0.0};
+  ecosystem::World world = ecosystem::build_world(spec);
+  net::SimNetwork& network = *world.network;
+  ecosystem::Ecosystem& eco = world.eco;
   const dns::Name zone_name = name_of("rollhost-0.se.");
 
   resolver::QueryEngineOptions engine_options;

@@ -6,25 +6,25 @@
 
 #include "analysis/survey.hpp"
 #include "base/strings.hpp"
-#include "ecosystem/builder.hpp"
+#include "ecosystem/world.hpp"
 
 using namespace dnsboot;
 
 int main() {
-  net::SimNetwork network(2025);
-  network.set_default_link(
-      net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.001});
-
-  ecosystem::EcosystemConfig config;
-  config.scale = 1.0 / 100000;
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  // The survey's link with a little loss.
+  ecosystem::WorldSpec spec;
+  spec.config.scale = 1.0 / 100000;
+  spec.network_seed = 2025;
+  spec.link.loss_rate = 0.001;
+  const ecosystem::World world = ecosystem::build_world(spec);
+  const ecosystem::Ecosystem& eco = world.eco;
   std::printf("measurement_study — scanning %zu synthetic zones "
               "(1/100000 of the paper's 287.6 M)\n\n",
               eco.scan_targets.size());
 
-  auto result = analysis::run_survey(network, eco.hints, eco.scan_targets,
-                                     eco.ns_domain_to_operator, eco.now);
+  auto result =
+      analysis::run_survey(*world.network, eco.hints, eco.scan_targets,
+                           eco.ns_domain_to_operator, eco.now);
   const analysis::Survey& s = result.survey;
   double total = static_cast<double>(s.total - s.unresolved);
 

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "analysis/survey.hpp"
-#include "ecosystem/builder.hpp"
+#include "ecosystem/world.hpp"
 
 using namespace dnsboot;
 
@@ -50,10 +50,6 @@ void print_decision(const analysis::ZoneReport& report) {
 int main() {
   // A .ch-flavoured miniature world: one operator that signs everything and
   // publishes RFC 9615 signals; some zones are islands awaiting DS.
-  net::SimNetwork network(8);
-  network.set_default_link(
-      net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-
   ecosystem::OperatorProfile op;
   op.name = "SwissHoster";
   op.ns_domains = {"swisshoster.ch"};
@@ -68,12 +64,13 @@ int main() {
   op.swiss = true;
   op.signal_includes_delete = true;
 
-  ecosystem::EcosystemConfig config;
-  config.scale = 1.0;
-  config.operators = {op};
-  config.inject_pathologies = false;
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  ecosystem::WorldSpec spec;
+  spec.config.scale = 1.0;
+  spec.config.operators = {op};
+  spec.config.inject_pathologies = false;
+  spec.network_seed = 8;
+  const ecosystem::World world = ecosystem::build_world(spec);
+  const ecosystem::Ecosystem& eco = world.eco;
 
   // Break one island by hand: remove the signaling records under ns2 for
   // swisshoster-4.ch (the §4.4 "not published under every NS" failure).
@@ -82,7 +79,7 @@ int main() {
   analysis::SurveyRunOptions options;
   options.keep_reports = true;
   auto result =
-      analysis::run_survey(network, eco.hints, eco.scan_targets,
+      analysis::run_survey(*world.network, eco.hints, eco.scan_targets,
                            eco.ns_domain_to_operator, eco.now, options);
 
   std::printf("registry_ab_check — RFC 9615 decisions for %zu zones under "

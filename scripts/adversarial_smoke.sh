@@ -2,9 +2,9 @@
 # Adversarial wire-model smoke (DESIGN.md §13), the CI gate for the attack
 # layer:
 #   1. the same seeded survey runs clean and with --chaos adversarial; the
-#      per-zone CSVs must be byte-identical once the trailing provenance
-#      columns (under_attack, key_state) are stripped — crafted traffic may
-#      slow the scan but must never change a measurement;
+#      per-zone CSVs must be byte-identical once the under_attack provenance
+#      column is dropped — crafted traffic may slow the scan but must never
+#      change a measurement, key_state included;
 #   2. the adversarial run must actually have been attacked (attack counters
 #      nonzero) and must have rejected every forgery (accepted_forgeries 0);
 #   3. the under_attack provenance must surface end to end: nonzero
@@ -33,6 +33,26 @@ json_value() {
   sed -n 's/.*"'"$1"'":\([0-9][0-9]*\).*/\1/p' "$2"
 }
 
+# Print CSV file $2 without the column headed $1. The column is found by its
+# header name and cut counting from the end of each row, so quoted commas in
+# earlier fields (zone names, dnssec_reason) cannot shift it.
+drop_column() {
+  awk -F, -v name="$1" '
+    BEGIN { after = -1 }
+    NR == 1 {
+      for (i = 1; i <= NF; ++i) if ($i == name) after = NF - i
+      if (after < 0) {
+        print "adversarial_smoke: no CSV column " name > "/dev/stderr"
+        exit 1
+      }
+    }
+    {
+      out = ""; sep = ""
+      for (i = 1; i <= NF; ++i) if (i != NF - after) { out = out sep $i; sep = "," }
+      print out
+    }' "$2"
+}
+
 echo "adversarial_smoke: clean run (seed $seed, 1/$scale_denom scale)"
 "$survey" --scale-denom "$scale_denom" --seed "$seed" --quiet \
   --json "$workdir/clean.json" --csv "$workdir/clean.csv"
@@ -50,10 +70,9 @@ if "$survey" --scale-denom "$scale_denom" --chaos catastrophic \
   exit 1
 fi
 
-# The provenance columns (under_attack, key_state) are the last two by
-# design; everything before them must be byte-identical between the runs.
-sed 's/,[^,]*$//;s/,[^,]*$//' "$workdir/clean.csv" >"$workdir/clean.stripped"
-sed 's/,[^,]*$//;s/,[^,]*$//' "$workdir/adv.csv" >"$workdir/adv.stripped"
+# Only the under_attack provenance column may differ between the runs.
+drop_column under_attack "$workdir/clean.csv" >"$workdir/clean.stripped"
+drop_column under_attack "$workdir/adv.csv" >"$workdir/adv.stripped"
 if ! diff -u "$workdir/clean.stripped" "$workdir/adv.stripped" >&2; then
   echo "adversarial_smoke: FAIL — adversarial run changed the report" >&2
   exit 1

@@ -12,15 +12,6 @@ std::size_t shard_of(const dns::Name& zone, std::size_t shards) {
   return shard_of_canonical(zone.canonical_text(), shards);
 }
 
-std::uint64_t shard_network_seed(std::uint64_t base_seed,
-                                 std::size_t shard_index, std::size_t shards) {
-  if (shards <= 1) return base_seed;
-  SplitMix64 mix(base_seed);
-  std::uint64_t derived = mix.next();
-  return derived ^
-         (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(shard_index) + 1));
-}
-
 namespace {
 
 // One shard's output, written by exactly one worker and read only after all
@@ -46,17 +37,15 @@ ShardedSurveyResult run_sharded_survey(const ShardWorldSource& source,
           next_shard.fetch_add(1, std::memory_order_relaxed);
       if (shard >= shards) return;
 
-      ShardWorld world =
-          source(shard, shard_network_seed(options.base_network_seed, shard,
-                                           shards));
-      ShardSlot& slot = slots[shard];
-      // world.targets is already this shard's slice (streaming-shard
+      const ecosystem::World world = source(shard);
+      const ecosystem::Ecosystem& eco = world.eco;
+      // eco.scan_targets is already this shard's slice (streaming-shard
       // contract); run_survey folds the shard network's registry (fault
       // counters, events, traffic) into slot.result.metrics, so the slot
       // needs nothing beyond the result itself.
-      slot.result =
-          run_survey(*world.network, world.hints, world.targets,
-                     world.ns_domain_to_operator, world.now, options.run);
+      slots[shard].result =
+          run_survey(*world.network, eco.hints, eco.scan_targets,
+                     eco.ns_domain_to_operator, eco.now, options.run);
     }
   };
 

@@ -146,4 +146,13 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+std::uint64_t shard_network_seed(std::uint64_t base_seed,
+                                 std::size_t shard_index, std::size_t shards) {
+  if (shards <= 1) return base_seed;
+  SplitMix64 mix(base_seed);
+  std::uint64_t derived = mix.next();
+  return derived ^
+         (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(shard_index) + 1));
+}
+
 }  // namespace dnsboot

@@ -81,4 +81,12 @@ inline std::size_t shard_of_canonical(const std::string& canonical_text,
   return static_cast<std::size_t>(fnv1a(canonical_text) % shards);
 }
 
+// Network seed of shard `shard_index` of `shards` in a world whose base
+// network seed is `base_seed`. One shard passes the base seed through
+// unchanged, so a one-shard run is exactly the single-world run; otherwise
+// each shard gets a SplitMix64-derived seed so shard networks draw
+// independent jitter and loss.
+std::uint64_t shard_network_seed(std::uint64_t base_seed,
+                                 std::size_t shard_index, std::size_t shards);
+
 }  // namespace dnsboot

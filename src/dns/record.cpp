@@ -15,12 +15,6 @@ std::string ResourceRecord::to_text() const {
          rdata_to_text(rdata);
 }
 
-Bytes ResourceRecord::rdata_wire(bool canonical) const {
-  ByteWriter w;
-  encode_rdata(rdata, w, canonical);
-  return w.take();
-}
-
 std::vector<ResourceRecord> RRset::to_records() const {
   std::vector<ResourceRecord> out;
   out.reserve(rdatas.size());

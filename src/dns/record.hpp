@@ -24,9 +24,6 @@ struct ResourceRecord {
 
   // "<owner> <ttl> IN <TYPE> <rdata>" presentation line.
   std::string to_text() const;
-
-  // Wire-format RDATA bytes (canonical form lowercases embedded names).
-  Bytes rdata_wire(bool canonical = false) const;
 };
 
 // An RRset: all records sharing owner name, type, and class. Invariant: all

@@ -1,10 +1,13 @@
-// EcosystemBuilder — constructs the synthetic Internet: a signed root, signed
-// TLDs, operator infrastructure (nameservers, anycast pools, operator zones
-// with RFC 9615 signaling records), and the scaled zone population with every
-// pathology class the paper describes, then wires it all onto a SimNetwork.
+// The synthetic Internet's data model: EcosystemConfig describes a world (a
+// signed root, signed TLDs, operator infrastructure with RFC 9615 signaling
+// records, and the scaled zone population with every pathology class the
+// paper describes), and Ecosystem is one built world, or one shard of it,
+// wired onto a SimNetwork. ecosystem/plan.hpp builds it; ecosystem/world.hpp
+// is the entry point the tools use.
 //
-// The builder records ground truth per zone so integration tests can assert
-// that the scan+analysis pipeline recovers exactly what was injected.
+// An Ecosystem records ground truth per zone so integration tests can
+// assert that the scan+analysis pipeline recovers exactly what was
+// injected.
 #pragma once
 
 #include <map>
@@ -89,22 +92,6 @@ struct Ecosystem {
   std::uint64_t zones_total = 0;
   std::uint64_t zones_signed = 0;
   std::uint64_t signatures_created = 0;
-};
-
-// Thin facade over the plan/shard split in ecosystem/plan.hpp: build() is
-// exactly build_shard(network, config, make_ecosystem_plan(config), 0, 1).
-// Callers that want a full world keep using this; callers that want
-// O(zones/shard) worker memory call make_ecosystem_plan once and build_shard
-// per worker.
-class EcosystemBuilder {
- public:
-  EcosystemBuilder(net::SimNetwork& network, EcosystemConfig config);
-
-  Ecosystem build();
-
- private:
-  net::SimNetwork& network_;
-  EcosystemConfig config_;
 };
 
 }  // namespace dnsboot::ecosystem

@@ -1,10 +1,7 @@
 // EcosystemPlan — the cheap, immutable, shared half of world construction
 // (DESIGN.md §14).
 //
-// The legacy builder materialized the whole population in one pass, consuming
-// sequential RNG draws and pathology quotas zone by zone; a shard worker that
-// wanted its slice had to build (and pay the memory for) everything. The plan
-// splits that into:
+// World construction has two phases:
 //
 //   make_ecosystem_plan(config)   — pure scalar arithmetic: the operator set,
 //       per-operator population counts, pathology-chain boundaries, duplicate
@@ -16,22 +13,23 @@
 //       shared infrastructure every shard world needs to serve its slice:
 //       root, TLD zones carrying this shard's delegations, operator zones
 //       carrying this shard's signal records. Worker memory is
-//       O(zones/shard + operators), not O(world).
+//       O(zones/shard + operators), not O(world). build_shard(0, 1) is the
+//       whole world. Tools build through ecosystem/world.hpp, which wraps
+//       this with the network, link and chaos set-up.
 //
 // Determinism contract: a zone's bytes depend only on (config.seed, zone
 // name). Every random draw inside zone materialization comes from
 // op_rng.fork("zone:" + canonical_name) — Rng::fork is position-independent,
-// so the same zone built by any shard world (or by the full build, which is
-// build_shard(0, 1)) is byte-identical. Infrastructure draws are sequential
-// but happen identically in every shard world; decisions the legacy builder
-// made lazily mid-population (alt-server and CSYNC-host creation) are decided
-// eagerly here so server identities and address assignments never depend on
-// which zones a shard holds.
+// so the same zone built by any shard world (or by the whole world) is
+// byte-identical. Infrastructure draws are sequential but happen
+// identically in every shard world, and every decision that shapes the
+// infrastructure (alt-server and CSYNC-host creation) is made in the plan,
+// so server identities and address assignments never depend on which zones
+// a shard holds.
 //
-// Pathology truth is closed-form: every sequential quota chain the legacy
-// builder consumed with take() reduces to prefix arithmetic over contiguous
-// state ranges (see planned_truth in plan.cpp), so truth for zone i is O(1)
-// without generating zones 0..i-1.
+// Pathology truth is closed-form: each pathology quota is a contiguous
+// range of a state's zone indices (see planned_truth in plan.cpp), so
+// truth for zone i is O(1) without generating zones 0..i-1.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +58,7 @@ struct OperatorPlan {
   std::uint64_t island_cds_delete = 0; // ...of which the first get the
                                        // delete sentinel
   // Zones with index < skip_below collide with an earlier operator sharing
-  // (slug, tld) and are never generated (the legacy duplicate guard).
+  // (slug, tld) and are never generated (the duplicate guard).
   std::uint64_t skip_below = 0;
   // Apex A-record counter value of this operator's first generated zone
   // (198.18.x.x addresses are numbered globally in generation order).
@@ -94,9 +92,9 @@ struct OperatorPlan {
   std::uint64_t q_roll_cds_unpublished = 0;
   std::uint64_t q_roll_algorithm_broken = 0;
 
-  // Eager infrastructure decisions (the legacy builder created these lazily
-  // at the first zone that needed them, which would make server identity
-  // depend on which zones a shard materializes).
+  // Infrastructure decisions, made here rather than at the first zone that
+  // needs them so server identity never depends on which zones a shard
+  // materializes.
   bool has_alt_server = false;
   bool has_csync_host = false;
   int partner = -1;  // index into EcosystemPlan::operators, -1 = none
@@ -112,15 +110,14 @@ struct EcosystemPlan {
 EcosystemPlan make_ecosystem_plan(const EcosystemConfig& config);
 
 // Closed-form ground truth for zone index `i` of `op` (requires
-// op.skip_below <= i < op.n). Equals what the legacy sequential quota
-// consumption produced.
+// op.skip_below <= i < op.n): the quotas above, consumed in index order.
 ZoneTruth planned_truth(const OperatorPlan& op, std::uint64_t i);
 
 // Materialize shard `shard_index` of `shard_count` onto `network`.
-// build_shard(n, c, plan, 0, 1) is the full world (EcosystemBuilder::build
-// delegates to exactly that). The returned Ecosystem's scan_targets / truth /
-// zone counters cover only this shard's slice; infrastructure (hints,
-// registries, ns_domain_to_operator, servers) is present in every shard.
+// build_shard(n, c, plan, 0, 1) is the full world. The returned Ecosystem's
+// scan_targets / truth / zone counters cover only this shard's slice;
+// infrastructure (hints, registries, ns_domain_to_operator, servers) is
+// present in every shard.
 Ecosystem build_shard(net::SimNetwork& network, const EcosystemConfig& config,
                       const EcosystemPlan& plan, std::size_t shard_index,
                       std::size_t shard_count);

@@ -4,58 +4,6 @@
 
 namespace dnsboot::kasp {
 
-std::string to_string(KaspStep::Kind kind) {
-  switch (kind) {
-    case KaspStep::Kind::kBootstrapSign:
-      return "bootstrap_sign";
-    case KaspStep::Kind::kBootstrapDs:
-      return "bootstrap_ds";
-    case KaspStep::Kind::kZskPublish:
-      return "zsk_publish";
-    case KaspStep::Kind::kZskActivate:
-      return "zsk_activate";
-    case KaspStep::Kind::kZskRemove:
-      return "zsk_remove";
-    case KaspStep::Kind::kKskPublish:
-      return "ksk_publish";
-    case KaspStep::Kind::kKskSubmitDs:
-      return "ksk_submit_ds";
-    case KaspStep::Kind::kKskActivate:
-      return "ksk_activate";
-    case KaspStep::Kind::kKskRemove:
-      return "ksk_remove";
-    case KaspStep::Kind::kAlgPublish:
-      return "alg_publish";
-    case KaspStep::Kind::kAlgSubmitDs:
-      return "alg_submit_ds";
-    case KaspStep::Kind::kAlgActivate:
-      return "alg_activate";
-    case KaspStep::Kind::kAlgRemove:
-      return "alg_remove";
-    case KaspStep::Kind::kBreakPrematureDs:
-      return "break_premature_ds";
-    case KaspStep::Kind::kRepairPrematureDs:
-      return "repair_premature_ds";
-    case KaspStep::Kind::kBreakStaleRrsig:
-      return "break_stale_rrsig";
-    case KaspStep::Kind::kRepairStaleRrsig:
-      return "repair_stale_rrsig";
-    case KaspStep::Kind::kPublishStrayCds:
-      return "publish_stray_cds";
-    case KaspStep::Kind::kClearStrayCds:
-      return "clear_stray_cds";
-    case KaspStep::Kind::kPublishForeignKey:
-      return "publish_foreign_key";
-    case KaspStep::Kind::kDropForeignKey:
-      return "drop_foreign_key";
-    case KaspStep::Kind::kPublishDelete:
-      return "publish_delete";
-    case KaspStep::Kind::kRemoveDs:
-      return "remove_ds";
-  }
-  return "unknown";
-}
-
 PolicyClock::PolicyClock(net::SimNetwork& network,
                          resolver::QueryEngine& engine,
                          resolver::DelegationResolver& resolver,

@@ -96,8 +96,6 @@ struct KaspStep {
   dns::Name zone;
 };
 
-std::string to_string(KaspStep::Kind kind);
-
 class PolicyClock : public longitudinal::WorldMotion {
  public:
   PolicyClock(net::SimNetwork& network, resolver::QueryEngine& engine,

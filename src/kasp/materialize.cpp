@@ -2,33 +2,6 @@
 
 namespace dnsboot::kasp {
 
-std::string_view to_string(RolloverScenario scenario) {
-  switch (scenario) {
-    case RolloverScenario::kNone:
-      return "none";
-    case RolloverScenario::kMidZskPrepublish:
-      return "mid_zsk_prepublish";
-    case RolloverScenario::kMidKskDoubleDs:
-      return "mid_ksk_double_ds";
-    case RolloverScenario::kPrematureDs:
-      return "premature_ds";
-    case RolloverScenario::kStaleRrsig:
-      return "stale_rrsig";
-    case RolloverScenario::kCdsUnpublishedKey:
-      return "cds_unpublished_key";
-    case RolloverScenario::kAlgorithmBroken:
-      return "algorithm_broken";
-    case RolloverScenario::kCount:
-      break;
-  }
-  return "unknown";
-}
-
-bool scenario_breaks_chain(RolloverScenario scenario) {
-  return scenario == RolloverScenario::kPrematureDs ||
-         scenario == RolloverScenario::kStaleRrsig;
-}
-
 namespace {
 
 // The deSEC-style CDS/CDNSKEY publication for one KSK, appended to `out`.

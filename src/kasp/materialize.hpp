@@ -33,11 +33,6 @@ enum class RolloverScenario : std::uint8_t {
   kCount,
 };
 
-std::string_view to_string(RolloverScenario scenario);
-
-// True for the scenarios that leave the chain of trust bogus at probe time.
-bool scenario_breaks_chain(RolloverScenario scenario);
-
 struct RolloverMaterial {
   dnssec::ZoneKeys keys;  // sign the zone with this set
   // DS rdatas the parent installs. Empty = the default single SHA-256 DS of

@@ -78,17 +78,6 @@ Journal::Journal(Journal&& other) noexcept
   other.file_ = nullptr;
 }
 
-Journal& Journal::operator=(Journal&& other) noexcept {
-  if (this != &other) {
-    close();
-    file_ = other.file_;
-    path_ = std::move(other.path_);
-    appended_ = other.appended_;
-    other.file_ = nullptr;
-  }
-  return *this;
-}
-
 void Journal::close() {
   if (file_ != nullptr) {
     std::fclose(file_);

@@ -38,7 +38,6 @@ class Journal {
   Journal() = default;
   ~Journal();
   Journal(Journal&& other) noexcept;
-  Journal& operator=(Journal&& other) noexcept;
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 

@@ -105,11 +105,6 @@ void SimNetwork::clear_faults() {
   faults_from_.clear();
 }
 
-const FaultProfile* SimNetwork::faults_to(const IpAddress& destination) const {
-  auto it = faults_to_.find(destination);
-  return it == faults_to_.end() ? nullptr : &it->second.profile;
-}
-
 void SimNetwork::set_attack_on(const IpAddress& target,
                                const AttackProfile& profile, Rng rng) {
   if (!profile.any()) {
@@ -118,8 +113,6 @@ void SimNetwork::set_attack_on(const IpAddress& target,
   }
   attacks_.insert_or_assign(target, AttackRule{profile, std::move(rng)});
 }
-
-void SimNetwork::clear_attacks() { attacks_.clear(); }
 
 void SimNetwork::maybe_inject_attack(const Datagram& query) {
   if (attacks_.empty() || query.tcp || query.injected) return;

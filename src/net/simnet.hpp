@@ -174,8 +174,6 @@ class SimNetwork : public Transport {
   void set_faults_to(const IpAddress& destination, const FaultProfile& profile);
   void set_faults_from(const IpAddress& source, const FaultProfile& profile);
   void clear_faults();
-  // The installed to-direction rule for an endpoint, or nullptr.
-  const FaultProfile* faults_to(const IpAddress& destination) const;
 
   // Station an attacker watching traffic toward `target`. The attacker has
   // its own RNG (callers fork it per endpoint so plans are order-stable) and
@@ -185,7 +183,6 @@ class SimNetwork : public Transport {
   // what makes the clean-vs-adversarial report-identity guarantee testable.
   void set_attack_on(const IpAddress& target, const AttackProfile& profile,
                      Rng rng);
-  void clear_attacks();
   const AttackStats& attack_stats() const { return attack_stats_; }
 
   // Process events until the queue is empty or `max_events` fire.

@@ -20,16 +20,6 @@ const RRsetProbe* first_signed_answer(
 
 }  // namespace
 
-std::string to_string(CsyncOutcome::Action action) {
-  switch (action) {
-    case CsyncOutcome::Action::kNone: return "none";
-    case CsyncOutcome::Action::kSynchronized: return "synchronized";
-    case CsyncOutcome::Action::kDeferred: return "deferred";
-    case CsyncOutcome::Action::kRejected: return "rejected";
-  }
-  return "?";
-}
-
 CsyncProcessor::CsyncProcessor(net::Transport& network,
                                resolver::QueryEngine& engine,
                                resolver::DelegationResolver& resolver,

@@ -24,8 +24,6 @@ struct CsyncOutcome {
   std::vector<dns::Name> new_ns;  // installed NS set when kSynchronized
 };
 
-std::string to_string(CsyncOutcome::Action action);
-
 class CsyncProcessor {
  public:
   using Callback = std::function<void(CsyncOutcome)>;

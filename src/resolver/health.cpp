@@ -2,15 +2,6 @@
 
 namespace dnsboot::resolver {
 
-std::string to_string(CircuitState state) {
-  switch (state) {
-    case CircuitState::kClosed: return "closed";
-    case CircuitState::kOpen: return "open";
-    case CircuitState::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
-
 void ServerHealthTracker::open_circuit(Entry& e, net::SimTime now,
                                        bool reopen) {
   e.state = CircuitState::kOpen;

@@ -20,8 +20,6 @@ namespace dnsboot::resolver {
 
 enum class CircuitState { kClosed, kOpen, kHalfOpen };
 
-std::string to_string(CircuitState state);
-
 struct HealthOptions {
   // Circuit breaker: after `failure_threshold` consecutive failures the
   // circuit opens and queries fail fast; after `open_cooldown` it half-opens

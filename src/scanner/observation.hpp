@@ -30,8 +30,6 @@ enum class ProbeFailure {
   kOther,
 };
 
-std::string to_string(ProbeFailure failure);
-
 // Failures a later scan pass may plausibly recover from. SERVFAIL/REFUSED
 // count as transient because the fault model produces them from flapping and
 // rate-limited servers; persistent ones simply fail again on the retry.
@@ -136,8 +134,6 @@ struct ZoneObservation {
   // Convenience accessors used by the analysis.
   std::vector<const RRsetProbe*> probes_of(dns::RRType qtype) const;
 };
-
-std::string to_string(ZoneObservation::Completeness completeness);
 
 // Snapshot of the shared infrastructure the chains hang from; captured once
 // per scan so validation is reproducible offline.

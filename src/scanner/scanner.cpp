@@ -16,23 +16,6 @@ std::string to_string(RRsetProbe::Outcome outcome) {
   return "?";
 }
 
-std::string to_string(ProbeFailure failure) {
-  switch (failure) {
-    case ProbeFailure::kNone: return "none";
-    case ProbeFailure::kTimeout: return "timeout";
-    case ProbeFailure::kFormErr: return "formerr";
-    case ProbeFailure::kServFail: return "servfail";
-    case ProbeFailure::kRefused: return "refused";
-    case ProbeFailure::kNotImp: return "notimp";
-    case ProbeFailure::kTruncationLoop: return "truncation-loop";
-    case ProbeFailure::kCircuitOpen: return "circuit-open";
-    case ProbeFailure::kServfailCached: return "servfail-cached";
-    case ProbeFailure::kOverload: return "overload";
-    case ProbeFailure::kOther: return "other";
-  }
-  return "?";
-}
-
 bool is_transient(ProbeFailure failure) {
   switch (failure) {
     case ProbeFailure::kTimeout:
@@ -50,15 +33,6 @@ bool is_transient(ProbeFailure failure) {
       return false;
   }
   return false;
-}
-
-std::string to_string(ZoneObservation::Completeness completeness) {
-  switch (completeness) {
-    case ZoneObservation::Completeness::kComplete: return "complete";
-    case ZoneObservation::Completeness::kDegraded: return "degraded";
-    case ZoneObservation::Completeness::kFailed: return "failed";
-  }
-  return "?";
 }
 
 // Resolution-failure strings that a rescan may plausibly recover from:

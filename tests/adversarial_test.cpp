@@ -10,8 +10,8 @@
 #include "analysis/survey.hpp"
 #include "cli.hpp"
 #include "dns/zonefile.hpp"
-#include "ecosystem/builder.hpp"
 #include "ecosystem/chaos.hpp"
+#include "ecosystem/plan.hpp"
 #include "net/simnet.hpp"
 #include "resolver/query_engine.hpp"
 #include "server/auth_server.hpp"
@@ -21,7 +21,6 @@ namespace {
 
 using ecosystem::ChaosOptions;
 using ecosystem::ChaosPlan;
-using ecosystem::EcosystemBuilder;
 using ecosystem::EcosystemConfig;
 using ecosystem::OperatorProfile;
 
@@ -62,8 +61,8 @@ AdversarialWorld run_survey_world(const ChaosOptions* chaos) {
   config.scale = 1.0;
   config.operators = {adversarial_operator()};
   config.inject_pathologies = false;
-  EcosystemBuilder builder(*world.network, config);
-  world.eco = builder.build();
+  world.eco = ecosystem::build_shard(
+      *world.network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
   if (chaos != nullptr) {
     world.plan = ecosystem::apply_chaos(*world.network, world.eco, *chaos);
   }

@@ -4,13 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "analysis/survey.hpp"
-#include "ecosystem/builder.hpp"
+#include "ecosystem/plan.hpp"
 #include "net/simnet.hpp"
 
 namespace dnsboot::analysis {
 namespace {
 
-using ecosystem::EcosystemBuilder;
 using ecosystem::EcosystemConfig;
 using ecosystem::OperatorProfile;
 using ecosystem::ZoneState;
@@ -83,8 +82,8 @@ std::unique_ptr<SurveyFixture> run_world(std::vector<OperatorProfile> ops) {
   config.scale = 1.0;
   config.operators = std::move(ops);
   config.inject_pathologies = false;
-  EcosystemBuilder builder(fixture->network, config);
-  fixture->eco = builder.build();
+  fixture->eco = ecosystem::build_shard(
+      fixture->network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
   SurveyRunOptions options;
   options.engine.per_server_qps = 5000;
   options.keep_reports = true;
@@ -183,8 +182,8 @@ TEST(SurveyRoundTrip, PathologiesAreDetected) {
       net::LinkModel{2 * net::kMillisecond, net::kMillisecond, 0.0});
   EcosystemConfig config;
   config.scale = 1.0 / 100000;
-  EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  auto eco = ecosystem::build_shard(
+      network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
   SurveyRunOptions options;
   options.engine.per_server_qps = 10000;
   auto result = run_survey(network, eco.hints, eco.scan_targets,

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "analysis/survey.hpp"
-#include "ecosystem/builder.hpp"
 #include "ecosystem/chaos.hpp"
+#include "ecosystem/plan.hpp"
 #include "lint/chaos_lint.hpp"
 #include "net/simnet.hpp"
 #include "scanner/scanner.hpp"
@@ -17,7 +17,6 @@ namespace {
 
 using ecosystem::ChaosOptions;
 using ecosystem::ChaosPlan;
-using ecosystem::EcosystemBuilder;
 using ecosystem::EcosystemConfig;
 using ecosystem::OperatorProfile;
 
@@ -71,8 +70,8 @@ ChaosWorld run_chaos_survey(const ChaosOptions& chaos, bool adaptive,
   config.scale = 1.0;
   config.operators = {chaos_operator()};
   config.inject_pathologies = false;
-  EcosystemBuilder builder(*world.network, config);
-  world.eco = builder.build();
+  world.eco = ecosystem::build_shard(
+      *world.network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
   world.plan = ecosystem::apply_chaos(*world.network, world.eco, chaos);
 
   analysis::SurveyRunOptions options;
@@ -102,8 +101,8 @@ TEST(Chaos, PlanIsDeterministicAndExemptsInfrastructure) {
     config.scale = 1.0;
     config.operators = {chaos_operator()};
     config.inject_pathologies = false;
-    EcosystemBuilder builder(*network, config);
-    auto eco = builder.build();
+    auto eco = ecosystem::build_shard(
+        *network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
     ChaosOptions chaos = ecosystem::chaos_preset("hostile");
     chaos.seed = seed;
     auto plan = ecosystem::apply_chaos(*network, eco, chaos);
@@ -218,8 +217,8 @@ TEST(Chaos, LintFlagsPermanentlyUnobservableZones) {
   config.scale = 1.0;
   config.operators = {chaos_operator()};
   config.inject_pathologies = false;
-  EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  auto eco = ecosystem::build_shard(
+      network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
 
   net::FaultProfile dead;
   dead.blackholes.push_back(net::TimeWindow{});  // [0, forever)

@@ -1,6 +1,7 @@
 // CSYNC (RFC 7477) tests: child-to-parent NS synchronization end to end.
 #include <gtest/gtest.h>
 
+#include "ecosystem/plan.hpp"
 #include "net/simnet.hpp"
 #include "registry/csync_processor.hpp"
 
@@ -38,8 +39,8 @@ struct Fixture {
     config.scale = 1.0;
     config.operators = {op};
     config.inject_pathologies = false;
-    ecosystem::EcosystemBuilder builder(network, config);
-    eco = builder.build();
+    eco = ecosystem::build_shard(
+        network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
 
     resolver::QueryEngineOptions engine_options;
     engine_options.per_server_qps = 5000;

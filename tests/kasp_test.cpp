@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "base/rng.hpp"
-#include "ecosystem/builder.hpp"
+#include "ecosystem/world.hpp"
 #include "kasp/clock.hpp"
 #include "kasp/policy.hpp"
 #include "lint/crosscheck.hpp"
@@ -173,16 +173,18 @@ KaspOptions clean_roll_options(net::SimTime horizon) {
   return o;
 }
 
+// Schedules the clock as dnsboot-monitor does: the tools' world for `seed`,
+// here of tiny_config's population.
 std::vector<KaspStep> script_schedule(std::uint64_t seed) {
-  net::SimNetwork network(seed ^ 0xd15b007);
-  ecosystem::EcosystemConfig config = tiny_config();
-  config.seed = seed;
-  ecosystem::EcosystemBuilder builder(network, config);
-  ecosystem::Ecosystem eco = builder.build();
+  ecosystem::WorldSpec spec = ecosystem::seeded_spec(seed, 1.0);
+  spec.config = tiny_config();
+  spec.config.seed = seed;
+  ecosystem::World world = ecosystem::build_world(spec);
+  net::SimNetwork& network = *world.network;
   resolver::QueryEngine engine(network, net::IpAddress::v4({192, 0, 2, 252}),
                                {});
-  resolver::DelegationResolver resolver(engine, eco.hints);
-  PolicyClock clock(network, engine, resolver, eco,
+  resolver::DelegationResolver resolver(engine, world.eco.hints);
+  PolicyClock clock(network, engine, resolver, world.eco,
                     clean_roll_options(net::SimTime{14} * 86400 *
                                        net::kSecond));
   return clock.steps();
@@ -295,9 +297,9 @@ struct KaspRun {
 KaspRun run_kasp_monitor(const std::string& state_dir,
                          const KaspOptions& kasp_options) {
   net::SimNetwork network(42);
-  ecosystem::EcosystemConfig config = tiny_config();
-  ecosystem::EcosystemBuilder builder(network, config);
-  ecosystem::Ecosystem eco = builder.build();
+  const ecosystem::EcosystemConfig config = tiny_config();
+  ecosystem::Ecosystem eco = ecosystem::build_shard(
+      network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
 
   resolver::QueryEngine engine(network, net::IpAddress::v4({192, 0, 2, 252}),
                                {});
@@ -499,9 +501,9 @@ TEST(KaspMonitorTest, RestartOverTruncatedJournalConverges) {
 
 TEST(KaspLintTest, RolloverWorldCrossChecks) {
   net::SimNetwork network(11 ^ 0x5011);
-  ecosystem::EcosystemConfig config = lint::rollover_world_config(11);
-  ecosystem::EcosystemBuilder builder(network, config);
-  ecosystem::Ecosystem eco = builder.build();
+  const ecosystem::EcosystemConfig config = lint::rollover_world_config(11);
+  const ecosystem::Ecosystem eco = ecosystem::build_shard(
+      network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
 
   auto view = lint::collect_view(eco.servers, eco.now);
   auto report = lint::lint_ecosystem(view);

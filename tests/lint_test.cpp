@@ -11,7 +11,7 @@
 #include "base/rng.hpp"
 #include "dns/zonefile.hpp"
 #include "dnssec/signer.hpp"
-#include "ecosystem/builder.hpp"
+#include "ecosystem/plan.hpp"
 #include "lint/crosscheck.hpp"
 #include "lint/ecosystem_lint.hpp"
 #include "lint/report.hpp"
@@ -490,8 +490,8 @@ TEST(EcosystemLint, CsyncMigrationFlagsDelegationDrift) {
   config.scale = 1.0;
   config.operators = {op};
   config.inject_pathologies = false;
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  auto eco = ecosystem::build_shard(
+      network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
 
   auto view = collect_view(eco.servers, eco.now);
   auto report = lint_ecosystem(view);
@@ -512,8 +512,9 @@ TEST(EcosystemLint, CsyncMigrationFlagsDelegationDrift) {
 
 TEST(EcosystemLint, CleanWorldLintsCompletelyClean) {
   net::SimNetwork network(7);
-  ecosystem::EcosystemBuilder builder(network, clean_world_config());
-  auto eco = builder.build();
+  const ecosystem::EcosystemConfig config = clean_world_config();
+  auto eco = ecosystem::build_shard(
+      network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
   ASSERT_GT(eco.truth.size(), 20u);
 
   auto view = collect_view(eco.servers, eco.now);
@@ -531,8 +532,8 @@ TEST(CrossCheck, PaperWorldEveryInjectedClassCaught) {
   ecosystem::EcosystemConfig config;
   config.seed = 5;
   config.scale = 1.0 / 100000;  // micro-scale: every pathology, floor 1
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  auto eco = ecosystem::build_shard(
+      network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
 
   auto view = collect_view(eco.servers, eco.now);
   auto report = lint_ecosystem(view);

@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "analysis/parallel.hpp"
-#include "ecosystem/plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_http.hpp"
 #include "obs/stats.hpp"
@@ -224,36 +223,17 @@ TEST(TracerTest, JsonlEscapesAndOneLinePerSpan) {
 
 constexpr double kScale = 1.0 / 2000000;
 constexpr std::uint64_t kSeed = 11;
-constexpr std::uint64_t kBaseNetworkSeed = kSeed ^ 0xd15b007;
-
-analysis::ShardWorld build_world(std::size_t shard, std::size_t shards,
-                                 std::uint64_t net_seed) {
-  analysis::ShardWorld world;
-  world.network = std::make_unique<net::SimNetwork>(net_seed);
-  world.network->set_default_link(
-      net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-  ecosystem::EcosystemConfig config;
-  config.seed = kSeed;
-  config.scale = kScale;
-  const ecosystem::EcosystemPlan plan = ecosystem::make_ecosystem_plan(config);
-  auto eco = std::make_shared<ecosystem::Ecosystem>(
-      ecosystem::build_shard(*world.network, config, plan, shard, shards));
-  world.hints = eco->hints;
-  world.targets = std::move(eco->scan_targets);
-  world.ns_domain_to_operator = eco->ns_domain_to_operator;
-  world.now = eco->now;
-  world.keepalive = std::move(eco);
-  return world;
-}
 
 analysis::ShardedSurveyResult run_sharded(std::size_t threads) {
+  const ecosystem::WorldSpec spec = ecosystem::seeded_spec(kSeed, kScale);
+  const ecosystem::EcosystemPlan plan =
+      ecosystem::make_ecosystem_plan(spec.config);
   analysis::ShardedSurveyOptions options;
   options.shards = 8;
   options.threads = threads;
-  options.base_network_seed = kBaseNetworkSeed;
   return analysis::run_sharded_survey(
-      [](std::size_t shard, std::uint64_t net_seed) {
-        return build_world(shard, 8, net_seed);
+      [&spec, &plan](std::size_t shard) {
+        return ecosystem::build_world(spec, plan, shard, 8);
       },
       options);
 }

@@ -6,8 +6,8 @@
 
 #include "analysis/parallel.hpp"
 #include "analysis/report_io.hpp"
-#include "ecosystem/chaos.hpp"
-#include "ecosystem/plan.hpp"
+#include "base/rng.hpp"
+#include "ecosystem/world.hpp"
 
 namespace {
 
@@ -15,45 +15,21 @@ using namespace dnsboot;
 
 constexpr double kScale = 1.0 / 2000000;
 constexpr std::uint64_t kSeed = 11;
-constexpr std::uint64_t kBaseNetworkSeed = kSeed ^ 0xd15b007;
-constexpr std::uint64_t kChaosSeed = 0xc4a05;
 
-ecosystem::EcosystemConfig world_config() {
-  ecosystem::EcosystemConfig config;
-  config.seed = kSeed;
-  config.scale = kScale;
-  return config;
-}
-
-analysis::ShardWorld build_world(std::size_t shard, std::size_t shards,
-                                 std::uint64_t net_seed,
-                                 const std::string& chaos_preset) {
-  analysis::ShardWorld world;
-  world.network = std::make_unique<net::SimNetwork>(net_seed);
-  world.network->set_default_link(
-      net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-  const ecosystem::EcosystemConfig config = world_config();
-  const ecosystem::EcosystemPlan plan = ecosystem::make_ecosystem_plan(config);
-  auto eco = std::make_shared<ecosystem::Ecosystem>(
-      ecosystem::build_shard(*world.network, config, plan, shard, shards));
-  if (chaos_preset != "off") {
-    ecosystem::ChaosOptions chaos_options =
-        ecosystem::chaos_preset(chaos_preset);
-    chaos_options.seed = kChaosSeed;
-    ecosystem::apply_chaos(*world.network, *eco, chaos_options);
-  }
-  world.hints = eco->hints;
-  world.targets = std::move(eco->scan_targets);
-  world.ns_domain_to_operator = eco->ns_domain_to_operator;
-  world.now = eco->now;
-  world.keepalive = std::move(eco);
-  return world;
+// The world dnsboot-survey builds for --seed kSeed, through the same
+// factory.
+ecosystem::WorldSpec world_spec(const std::string& chaos = "off") {
+  ecosystem::WorldSpec spec = ecosystem::seeded_spec(kSeed, kScale);
+  spec.chaos = chaos;
+  return spec;
 }
 
 analysis::ShardWorldSource make_source(std::size_t shards,
                                        const std::string& chaos = "off") {
-  return [shards, chaos](std::size_t shard, std::uint64_t net_seed) {
-    return build_world(shard, shards, net_seed, chaos);
+  const ecosystem::WorldSpec spec = world_spec(chaos);
+  return [shards, spec, plan = ecosystem::make_ecosystem_plan(spec.config)](
+             std::size_t shard) {
+    return ecosystem::build_world(spec, plan, shard, shards);
   };
 }
 
@@ -81,16 +57,17 @@ analysis::ShardedSurveyResult run_sharded(std::size_t shards,
   options.run = run_options(chaos != "off");
   options.shards = shards;
   options.threads = threads;
-  options.base_network_seed = kBaseNetworkSeed;
   return analysis::run_sharded_survey(make_source(shards, chaos), options);
 }
 
 TEST(ParallelSurveyTest, SingleShardReproducesLegacyPipelineByteForByte) {
-  // The legacy single-world pipeline, exactly as run_survey callers drive it.
-  analysis::ShardWorld world = build_world(0, 1, kBaseNetworkSeed, "off");
-  auto legacy = analysis::run_survey(*world.network, world.hints,
-                                     world.targets, world.ns_domain_to_operator,
-                                     world.now, run_options(false));
+  // The single-world pipeline, exactly as run_survey callers drive it.
+  const ecosystem::World world = ecosystem::build_world(world_spec());
+  const ecosystem::Ecosystem& eco = world.eco;
+  auto legacy =
+      analysis::run_survey(*world.network, eco.hints, eco.scan_targets,
+                           eco.ns_domain_to_operator, eco.now,
+                           run_options(false));
 
   auto sharded = run_sharded(/*shards=*/1, /*threads=*/1);
   EXPECT_EQ(sharded.shards, 1u);
@@ -156,13 +133,14 @@ TEST(ParallelSurveyTest, HostileChaosMergesDeterministically) {
 }
 
 TEST(ParallelSurveyTest, ShardAssignmentPartitionsThePopulation) {
-  analysis::ShardWorld world = build_world(0, 1, kBaseNetworkSeed, "off");
-  ASSERT_GT(world.targets.size(), 0u);
+  const ecosystem::World world = ecosystem::build_world(world_spec());
+  const std::vector<dns::Name>& targets = world.eco.scan_targets;
+  ASSERT_GT(targets.size(), 0u);
 
   const std::size_t shards = 8;
   std::size_t assigned = 0;
   std::vector<std::size_t> per_shard(shards, 0);
-  for (const dns::Name& zone : world.targets) {
+  for (const dns::Name& zone : targets) {
     std::size_t shard = analysis::shard_of(zone, shards);
     ASSERT_LT(shard, shards);
     ++per_shard[shard];
@@ -170,12 +148,12 @@ TEST(ParallelSurveyTest, ShardAssignmentPartitionsThePopulation) {
     // Stable: the same name always lands on the same shard.
     EXPECT_EQ(shard, analysis::shard_of(zone, shards));
   }
-  EXPECT_EQ(assigned, world.targets.size());
+  EXPECT_EQ(assigned, targets.size());
   // The FNV hash should spread the population over all shards at this size.
   for (std::size_t count : per_shard) EXPECT_GT(count, 0u);
 
   // One shard routes everything to shard 0.
-  for (const dns::Name& zone : world.targets) {
+  for (const dns::Name& zone : targets) {
     EXPECT_EQ(analysis::shard_of(zone, 1), 0u);
   }
 }
@@ -184,7 +162,7 @@ TEST(ParallelSurveyTest, StreamingShardSlicesPartitionThePopulation) {
   // The streaming contract (DESIGN.md §14): the union of build_shard slices
   // is exactly the full world's population — every zone materialized once,
   // on the shard shard_of says, with the same closed-form ground truth.
-  const ecosystem::EcosystemConfig config = world_config();
+  const ecosystem::EcosystemConfig config = world_spec().config;
   const ecosystem::EcosystemPlan plan = ecosystem::make_ecosystem_plan(config);
   net::SimNetwork full_network(1);
   ecosystem::Ecosystem full =
@@ -232,13 +210,48 @@ TEST(ParallelSurveyTest, StreamingShardSlicesPartitionThePopulation) {
 }
 
 TEST(ParallelSurveyTest, ShardSeedDerivation) {
-  // One shard passes the base seed through: the legacy-equivalence hinge.
-  EXPECT_EQ(analysis::shard_network_seed(1234, 0, 1), 1234u);
+  // One shard passes the base seed through: the single-world hinge.
+  EXPECT_EQ(shard_network_seed(1234, 0, 1), 1234u);
   // Multi-shard seeds differ per shard and never collide with the base.
-  std::uint64_t s0 = analysis::shard_network_seed(1234, 0, 8);
-  std::uint64_t s1 = analysis::shard_network_seed(1234, 1, 8);
+  std::uint64_t s0 = shard_network_seed(1234, 0, 8);
+  std::uint64_t s1 = shard_network_seed(1234, 1, 8);
   EXPECT_NE(s0, s1);
   EXPECT_NE(s0, 1234u);
+}
+
+std::vector<net::IpAddress> faulted_addresses(
+    const ecosystem::ChaosPlan& plan) {
+  std::vector<net::IpAddress> out;
+  for (const auto& [address, profile] : plan.links) out.push_back(address);
+  return out;
+}
+
+TEST(ParallelSurveyTest, EveryShardWorldGetsTheWholeWorldsChaosPlan) {
+  // dnsboot-survey prints shard 0's chaos plan as the whole world's, and its
+  // --lint pass with shards > 1 checks the whole world's plan: both rely on
+  // build_world giving every shard world the same plan.
+  const std::size_t shards = 8;
+  for (const std::string preset : {"mild", "hostile", "adversarial"}) {
+    const ecosystem::WorldSpec spec = world_spec(preset);
+    const ecosystem::EcosystemPlan plan =
+        ecosystem::make_ecosystem_plan(spec.config);
+    const ecosystem::ChaosPlan whole =
+        ecosystem::build_world(spec, plan, 0, 1).chaos;
+    EXPECT_GT(whole.endpoints_faulted + whole.endpoints_attacked, 0u)
+        << preset;
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      const ecosystem::ChaosPlan sliced =
+          ecosystem::build_world(spec, plan, shard, shards).chaos;
+      SCOPED_TRACE(preset + " shard " + std::to_string(shard));
+      EXPECT_EQ(sliced.servers_faulted, whole.servers_faulted);
+      EXPECT_EQ(sliced.endpoints_faulted, whole.endpoints_faulted);
+      EXPECT_EQ(sliced.endpoints_blackholed, whole.endpoints_blackholed);
+      EXPECT_EQ(sliced.endpoints_flapping, whole.endpoints_flapping);
+      EXPECT_EQ(sliced.endpoints_attacked, whole.endpoints_attacked);
+      EXPECT_EQ(sliced.servers_hardened, whole.servers_hardened);
+      EXPECT_EQ(faulted_addresses(sliced), faulted_addresses(whole));
+    }
+  }
 }
 
 }  // namespace

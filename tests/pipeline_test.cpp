@@ -1,14 +1,13 @@
 // Integration tests: ecosystem -> simnet -> scanner, on small custom worlds.
 #include <gtest/gtest.h>
 
-#include "ecosystem/builder.hpp"
+#include "ecosystem/plan.hpp"
 #include "net/simnet.hpp"
 #include "scanner/scanner.hpp"
 
 namespace dnsboot {
 namespace {
 
-using ecosystem::EcosystemBuilder;
 using ecosystem::EcosystemConfig;
 using ecosystem::OperatorProfile;
 using ecosystem::ZoneState;
@@ -64,8 +63,8 @@ std::unique_ptr<World> scan_world(std::vector<OperatorProfile> operators,
   config.scale = 1.0;
   config.operators = std::move(operators);
   config.inject_pathologies = pathologies;
-  EcosystemBuilder builder(world->network, config);
-  world->eco = builder.build();
+  world->eco = ecosystem::build_shard(
+      world->network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
 
   auto engine_address = net::IpAddress::v4({192, 0, 2, 250});
   resolver::QueryEngineOptions engine_options;

@@ -2,6 +2,7 @@
 // TLD zone, and confirm on re-scan that the child's DNSSEC chain closed.
 #include <gtest/gtest.h>
 
+#include "ecosystem/plan.hpp"
 #include "net/simnet.hpp"
 #include "registry/cds_processor.hpp"
 
@@ -49,8 +50,8 @@ struct Fixture {
     config.scale = 1.0;
     config.operators = {ab_operator(with_signal)};
     config.inject_pathologies = false;
-    ecosystem::EcosystemBuilder builder(network, config);
-    eco = builder.build();
+    eco = ecosystem::build_shard(
+        network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
 
     resolver::QueryEngineOptions engine_options;
     engine_options.per_server_qps = 5000;

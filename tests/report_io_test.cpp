@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/report_io.hpp"
-#include "ecosystem/builder.hpp"
+#include "ecosystem/plan.hpp"
 #include "net/simnet.hpp"
 
 namespace dnsboot::analysis {
@@ -30,8 +30,8 @@ SurveyRunResult run_small_survey() {
   config.scale = 1.0;
   config.operators = {op};
   config.inject_pathologies = false;
-  ecosystem::EcosystemBuilder builder(network, config);
-  auto eco = builder.build();
+  auto eco = ecosystem::build_shard(
+      network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
   SurveyRunOptions options;
   options.keep_reports = true;
   return run_survey(network, eco.hints, eco.scan_targets,

@@ -2,7 +2,7 @@
 // model (paper §3 and §3.1).
 #include <gtest/gtest.h>
 
-#include "ecosystem/builder.hpp"
+#include "ecosystem/plan.hpp"
 #include "net/simnet.hpp"
 #include "scanner/targets.hpp"
 
@@ -43,8 +43,8 @@ struct Fixture {
     config.scale = 1.0;
     config.operators = {swiss, com_op};
     config.inject_pathologies = false;
-    ecosystem::EcosystemBuilder builder(network, config);
-    eco = builder.build();
+    eco = ecosystem::build_shard(
+        network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
 
     engine = std::make_unique<resolver::QueryEngine>(
         network, net::IpAddress::v4({192, 0, 2, 245}),

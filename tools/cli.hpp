@@ -1,6 +1,6 @@
-// Shared command-line flag parser for the dnsboot tools (dnsboot-survey,
-// dnsboot-lint, dnsboot-serve). One declaration per flag binds a --name to a
-// typed target variable; parse() consumes argv, validates, and on any
+// Shared command-line flag parser for the dnsboot tools and benches. One
+// declaration per flag binds a --name to a typed target variable; parse()
+// consumes argv, validates, and on any
 // problem prints the offending flag plus an auto-generated usage block to
 // stderr — the caller exits 2. `--help` prints the same block to stdout.
 //
@@ -8,6 +8,8 @@
 // stays out of the libraries.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -52,6 +54,30 @@ inline bool parse_duration(const std::string& text,
   const double usec = value * static_cast<double>(unit);
   if (usec > 9.0e18) return false;  // stays representable in uint64
   *out_usec = static_cast<std::uint64_t>(usec);
+  return true;
+}
+
+// Parse a comma-separated list of counts — "1,4,8" — into *out. Every item
+// must be digits only and at least `min`; an empty item, a sign, a suffix
+// or overflow rejects the whole list and leaves *out untouched.
+inline bool parse_counts(const std::string& text, std::size_t min,
+                         std::vector<std::size_t>* out) {
+  std::vector<std::size_t> counts;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = text.find(',', start);
+    const std::string item = text.substr(start, comma - start);
+    if (item.empty() || !std::isdigit(static_cast<unsigned char>(item[0]))) {
+      return false;
+    }
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(item.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE || v < min) return false;
+    counts.push_back(static_cast<std::size_t>(v));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  *out = std::move(counts);
   return true;
 }
 
@@ -165,6 +191,17 @@ class FlagParser {
                           }
                           *target = static_cast<int>(v);
                           return true;
+                        }});
+    return *this;
+  }
+
+  // --name N,N,...: a comma-separated list of counts (e.g. --threads 1,4,8)
+  // replacing *target; see parse_counts.
+  FlagParser& value(const std::string& name, std::vector<std::size_t>* target,
+                    const std::string& help, std::size_t min) {
+    entries_.push_back({name, "LIST", help,
+                        [target, min](const std::string& text) {
+                          return parse_counts(text, min, target);
                         }});
     return *this;
   }

@@ -24,11 +24,10 @@
 
 #include "cli.hpp"
 #include "dns/zonefile.hpp"
-#include "ecosystem/builder.hpp"
+#include "ecosystem/world.hpp"
 #include "lint/crosscheck.hpp"
 #include "lint/ecosystem_lint.hpp"
 #include "lint/report.hpp"
-#include "net/simnet.hpp"
 #include "obs/metrics.hpp"
 
 using namespace dnsboot;
@@ -152,19 +151,12 @@ int lint_zone_file(const CliOptions& options) {
   return emit(lint::lint_zone(*zone, zone_options), options);
 }
 
-ecosystem::Ecosystem build_world(const ecosystem::EcosystemConfig& config,
-                                 net::SimNetwork& network) {
-  ecosystem::EcosystemBuilder builder(network, config);
-  return builder.build();
-}
-
 int lint_world(const CliOptions& options) {
-  net::SimNetwork network(options.seed ^ 0xd15b007);
-  ecosystem::EcosystemConfig config;
-  config.seed = options.seed;
-  config.scale = 1.0 / options.scale_denom;
-  config.inject_pathologies = options.pathologies;
-  auto eco = build_world(config, network);
+  ecosystem::WorldSpec spec =
+      ecosystem::seeded_spec(options.seed, 1.0 / options.scale_denom);
+  spec.config.inject_pathologies = options.pathologies;
+  const ecosystem::World world = ecosystem::build_world(spec);
+  const ecosystem::Ecosystem& eco = world.eco;
   if (!options.output.quiet) {
     std::printf("dnsboot-lint: %zu zones on %zu servers (scale 1/%.0f, "
                 "seed %llu)\n",
@@ -181,11 +173,9 @@ int self_check(const CliOptions& options) {
   // Positive half: the paper world with every pathology class injected —
   // the linter must flag 100% of the zones in every class.
   {
-    net::SimNetwork network(options.seed ^ 0xd15b007);
-    ecosystem::EcosystemConfig config;
-    config.seed = options.seed;
-    config.scale = 1.0 / options.scale_denom;
-    auto eco = build_world(config, network);
+    const ecosystem::World world = ecosystem::build_world(
+        ecosystem::seeded_spec(options.seed, 1.0 / options.scale_denom));
+    const ecosystem::Ecosystem& eco = world.eco;
     auto view = lint::collect_view(eco.servers, eco.now);
     auto report = lint::lint_ecosystem(view);
     auto check = lint::cross_check(eco, report);
@@ -207,9 +197,10 @@ int self_check(const CliOptions& options) {
   // mid-rollover zones (correct RFC 7583 operator behavior in flight) must
   // produce no findings at all.
   {
-    net::SimNetwork network(options.seed ^ 0x5011);
-    auto eco =
-        build_world(lint::rollover_world_config(options.seed), network);
+    const ecosystem::World world = ecosystem::build_world(
+        {.config = lint::rollover_world_config(options.seed),
+         .network_seed = options.seed ^ 0x5011});
+    const ecosystem::Ecosystem& eco = world.eco;
     auto view = lint::collect_view(eco.servers, eco.now);
     auto report = lint::lint_ecosystem(view);
     auto check = lint::cross_check(eco, report);
@@ -244,8 +235,10 @@ int self_check(const CliOptions& options) {
 
   // Negative half: a misconfiguration-free world must lint clean.
   {
-    net::SimNetwork network(options.seed ^ 0xc1ea9);
-    auto eco = build_world(lint::clean_world_config(options.seed), network);
+    const ecosystem::World world = ecosystem::build_world(
+        {.config = lint::clean_world_config(options.seed),
+         .network_seed = options.seed ^ 0xc1ea9});
+    const ecosystem::Ecosystem& eco = world.eco;
     auto view = lint::collect_view(eco.servers, eco.now);
     auto report = lint::lint_ecosystem(view);
     std::printf("self-check: clean world, %zu zones, %zu findings\n",

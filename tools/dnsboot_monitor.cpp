@@ -30,8 +30,7 @@
 
 #include "cli.hpp"
 #include "dns/name_pool.hpp"
-#include "ecosystem/chaos.hpp"
-#include "ecosystem/plan.hpp"
+#include "ecosystem/world.hpp"
 #include "kasp/clock.hpp"
 #include "longitudinal/monitor.hpp"
 #include "net/simnet.hpp"
@@ -114,22 +113,18 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 2;
   if (parser.help_requested()) return 0;
 
-  // Same derived network seed as dnsboot-survey/-serve, so all three tools
-  // construct bit-identical worlds from the same --seed.
-  net::SimNetwork network(options.seed ^ 0xd15b007);
-  ecosystem::EcosystemConfig config;
-  config.seed = options.seed;
-  config.scale = 1.0 / options.scale_denom;
-  config.inject_pathologies = options.pathologies;
-  const ecosystem::EcosystemPlan plan = ecosystem::make_ecosystem_plan(config);
-  ecosystem::Ecosystem eco =
-      ecosystem::build_shard(network, config, plan, 0, 1);
-  if (options.chaos != "off") {
-    ecosystem::ChaosOptions chaos_options =
-        ecosystem::chaos_preset(options.chaos);
-    chaos_options.seed = options.chaos_seed;
-    ecosystem::apply_chaos(network, eco, chaos_options);
-  }
+  // Same spec as dnsboot-survey/-serve, so all three tools construct
+  // bit-identical worlds from the same --seed. The monitor's network keeps
+  // the simulator's default 10 ms link.
+  ecosystem::WorldSpec spec =
+      ecosystem::seeded_spec(options.seed, 1.0 / options.scale_denom);
+  spec.config.inject_pathologies = options.pathologies;
+  spec.link = net::LinkModel{};
+  spec.chaos = options.chaos;
+  spec.chaos_seed = options.chaos_seed;
+  ecosystem::World world = ecosystem::build_world(spec);
+  net::SimNetwork& network = *world.network;
+  ecosystem::Ecosystem& eco = world.eco;
 
   // The registry-side world motion uses its own resolver vantage — the same
   // split as reality, where registry CDS scanners and measurement scanners

@@ -28,9 +28,7 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "ecosystem/chaos.hpp"
-#include "ecosystem/plan.hpp"
-#include "net/simnet.hpp"
+#include "ecosystem/world.hpp"
 #include "net/wire/wire_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_http.hpp"
@@ -85,11 +83,10 @@ cli::FlagParser make_parser(CliOptions* options) {
 }
 
 struct Worker {
-  // The builder wires servers onto a throwaway simulator; both it and the
-  // ecosystem stay alive for the zones and fault state the wire handlers
-  // reference.
-  std::unique_ptr<net::SimNetwork> buildnet;
-  std::shared_ptr<ecosystem::Ecosystem> eco;
+  // The world's servers are built onto its simulator, which then goes
+  // unused; the world stays alive for the zones and fault state the wire
+  // handlers reference.
+  ecosystem::World world;
   std::unique_ptr<net::WireTransport> transport;
   std::thread thread;
 };
@@ -111,23 +108,12 @@ void handle_signal(int) {
 // metrics are mutable per-worker state, and wire scale is bounded by port
 // space long before world copies dominate memory — but the immutable
 // EcosystemPlan is computed once and read by every concurrent build.
-bool setup_worker(const CliOptions& options,
-                  const ecosystem::EcosystemConfig& config,
+bool setup_worker(const CliOptions& options, const ecosystem::WorldSpec& spec,
                   const ecosystem::EcosystemPlan& plan, Worker* worker,
                   std::string* error) {
-  // Same derived network seed as dnsboot-survey's build (shard 0 of 1 passes
-  // the base through unchanged), so both processes construct bit-identical
-  // worlds even if the builder ever draws from the network.
-  worker->buildnet =
-      std::make_unique<net::SimNetwork>(options.seed ^ 0xd15b007);
-  worker->eco = std::make_shared<ecosystem::Ecosystem>(
-      ecosystem::build_shard(*worker->buildnet, config, plan, 0, 1));
-  if (options.chaos != "off") {
-    ecosystem::ChaosOptions chaos_options =
-        ecosystem::chaos_preset(options.chaos);
-    chaos_options.seed = options.chaos_seed;
-    ecosystem::apply_chaos(*worker->buildnet, *worker->eco, chaos_options);
-  }
+  // The same spec as dnsboot-survey's build (seeded_spec), so both
+  // processes construct bit-identical worlds.
+  worker->world = ecosystem::build_world(spec, plan, 0, 1);
 
   auto base = net::parse_endpoint(options.listen);
   if (!base) {
@@ -135,7 +121,7 @@ bool setup_worker(const CliOptions& options,
     return false;
   }
   net::WireAddressMap map(*base);
-  for (const auto& server : worker->eco->servers) {
+  for (const auto& server : worker->world.eco.servers) {
     for (const auto& address : server->addresses()) {
       if (!map.add(address)) {
         *error = "world needs " + std::to_string(map.size()) +
@@ -150,7 +136,7 @@ bool setup_worker(const CliOptions& options,
   transport_options.reuse_port = options.workers > 1;
   worker->transport =
       std::make_unique<net::WireTransport>(map, transport_options);
-  for (const auto& server : worker->eco->servers) {
+  for (const auto& server : worker->world.eco.servers) {
     for (const auto& address : server->addresses()) {
       server->attach(*worker->transport, address);
     }
@@ -173,7 +159,7 @@ obs::MetricsRegistry collect_metrics(const std::vector<Worker>& workers) {
     if (const obs::MetricsRegistry* m = worker.transport->metrics_registry()) {
       merged.merge(*m);
     }
-    for (const auto& server : worker.eco->servers) {
+    for (const auto& server : worker.world.eco.servers) {
       merged.merge(server->metrics());
     }
   }
@@ -197,19 +183,21 @@ int main(int argc, char** argv) {
   // deterministic in --seed) and binds the same ports via SO_REUSEPORT, so
   // the serving threads share no mutable state at all. Only the plan — the
   // immutable half of world construction — is shared across the builds.
-  ecosystem::EcosystemConfig config;
-  config.seed = options.seed;
-  config.scale = 1.0 / options.scale_denom;
-  config.inject_pathologies = options.pathologies;
-  const ecosystem::EcosystemPlan plan = ecosystem::make_ecosystem_plan(config);
+  ecosystem::WorldSpec spec =
+      ecosystem::seeded_spec(options.seed, 1.0 / options.scale_denom);
+  spec.config.inject_pathologies = options.pathologies;
+  spec.chaos = options.chaos;
+  spec.chaos_seed = options.chaos_seed;
+  const ecosystem::EcosystemPlan plan =
+      ecosystem::make_ecosystem_plan(spec.config);
   {
     std::vector<std::thread> builders;
     builders.reserve(workers.size());
     for (Worker& worker : workers) {
-      builders.emplace_back([&options, &config, &plan, &worker, &error_mutex,
+      builders.emplace_back([&options, &spec, &plan, &worker, &error_mutex,
                              &first_error, &failures] {
         std::string error;
-        if (!setup_worker(options, config, plan, &worker, &error)) {
+        if (!setup_worker(options, spec, plan, &worker, &error)) {
           failures.fetch_add(1);
           std::lock_guard<std::mutex> lock(error_mutex);
           if (first_error.empty()) first_error = std::move(error);
@@ -228,7 +216,8 @@ int main(int argc, char** argv) {
     std::printf(
         "dnsboot-serve: %zu zones on %zu servers, %zu endpoints at "
         "%s..%u, %zu worker(s)%s\n",
-        workers[0].eco->truth.size(), workers[0].eco->servers.size(),
+        workers[0].world.eco.truth.size(),
+        workers[0].world.eco.servers.size(),
         map.size(), map.base().to_text().c_str(),
         static_cast<unsigned>(map.base().port + map.size() - 1),
         workers.size(),

@@ -34,8 +34,7 @@
 #include "base/strings.hpp"
 #include "bench/bench_json.hpp"
 #include "cli.hpp"
-#include "ecosystem/chaos.hpp"
-#include "ecosystem/plan.hpp"
+#include "ecosystem/world.hpp"
 #include "lint/chaos_lint.hpp"
 #include "lint/ecosystem_lint.hpp"
 #include "lint/report.hpp"
@@ -141,56 +140,22 @@ int main(int argc, char** argv) {
   const bool chaos = options.chaos != "off";
   const std::size_t shards =
       options.shards != 0 ? options.shards : (options.threads > 1 ? 8 : 1);
-  const std::uint64_t base_network_seed = options.seed ^ 0xd15b007;
 
+  ecosystem::WorldSpec spec =
+      ecosystem::seeded_spec(options.seed, 1.0 / options.scale_denom);
+  spec.config.inject_pathologies = options.pathologies;
+  spec.chaos = options.chaos;
+  spec.chaos_seed = options.chaos_seed;
   // The shared immutable half of world construction (DESIGN.md §14):
   // computed once, read concurrently by every shard worker.
-  ecosystem::EcosystemConfig eco_config;
-  eco_config.seed = options.seed;
-  eco_config.scale = 1.0 / options.scale_denom;
-  eco_config.inject_pathologies = options.pathologies;
   const ecosystem::EcosystemPlan eco_plan =
-      ecosystem::make_ecosystem_plan(eco_config);
-
-  // Build one shard's world: a private SimNetwork seeded for that shard
-  // carrying that shard's zone slice (and a chaos plan that depends only on
-  // the chaos seed and server identities — identical across shards). Called
-  // concurrently from the executor's workers for shards > 0.
-  auto build_world = [&options, &eco_config, &eco_plan, shards, chaos](
-                         std::size_t shard, std::uint64_t net_seed,
-                         ecosystem::ChaosPlan* plan_out,
-                         std::shared_ptr<ecosystem::Ecosystem>* eco_out)
-      -> analysis::ShardWorld {
-    analysis::ShardWorld world;
-    world.network = std::make_unique<net::SimNetwork>(net_seed);
-    world.network->set_default_link(
-        net::LinkModel{5 * net::kMillisecond, 2 * net::kMillisecond, 0.0});
-    auto eco = std::make_shared<ecosystem::Ecosystem>(ecosystem::build_shard(
-        *world.network, eco_config, eco_plan, shard, shards));
-    if (chaos) {
-      ecosystem::ChaosOptions chaos_options =
-          ecosystem::chaos_preset(options.chaos);
-      chaos_options.seed = options.chaos_seed;
-      auto plan = ecosystem::apply_chaos(*world.network, *eco, chaos_options);
-      if (plan_out != nullptr) *plan_out = std::move(plan);
-    }
-    world.hints = eco->hints;
-    world.targets = std::move(eco->scan_targets);
-    world.ns_domain_to_operator = eco->ns_domain_to_operator;
-    world.now = eco->now;
-    if (eco_out != nullptr) *eco_out = eco;
-    world.keepalive = std::move(eco);
-    return world;
-  };
+      ecosystem::make_ecosystem_plan(spec.config);
 
   // Shard 0's world doubles as the preflight view (chaos summary, and with
   // one shard the lint/wire population); it is handed to the executor
-  // instead of being rebuilt.
-  ecosystem::ChaosPlan chaos_plan;
-  std::shared_ptr<ecosystem::Ecosystem> preflight_eco;
-  auto first_world = std::make_shared<analysis::ShardWorld>(build_world(
-      0, analysis::shard_network_seed(base_network_seed, 0, shards),
-      &chaos_plan, &preflight_eco));
+  // instead of being rebuilt. Its chaos plan is every shard's.
+  ecosystem::World first_world =
+      ecosystem::build_world(spec, eco_plan, 0, shards);
   if (!options.output.quiet) {
     std::printf("dnsboot-survey: %llu zones (scale 1/%.0f, seed %llu)\n",
                 static_cast<unsigned long long>(eco_plan.zones_total),
@@ -200,6 +165,7 @@ int main(int argc, char** argv) {
 
   if (chaos) {
     if (!options.output.quiet) {
+      const ecosystem::ChaosPlan& chaos_plan = first_world.chaos;
       std::printf(
           "chaos '%s': %llu faulted endpoints (%llu blackholed, "
           "%llu flapping), %llu faulted servers, %llu attacked endpoints, "
@@ -219,27 +185,18 @@ int main(int argc, char** argv) {
     // simulated traffic on the scan. Reported per rule; the scan proceeds
     // either way (the point of the survey is to *measure* broken zones).
     // Shard worlds only hold their slice, so with shards > 1 the lint pass
-    // builds a throwaway full world (legacy memory profile — lint is an
+    // builds a throwaway whole world (full-world memory profile — lint is an
     // explicit opt-in diagnostic).
-    std::shared_ptr<ecosystem::Ecosystem> lint_eco = preflight_eco;
-    ecosystem::ChaosPlan lint_chaos = chaos_plan;
-    std::unique_ptr<net::SimNetwork> lint_network;
-    if (shards > 1) {
-      lint_network = std::make_unique<net::SimNetwork>(base_network_seed);
-      lint_eco = std::make_shared<ecosystem::Ecosystem>(
-          ecosystem::build_shard(*lint_network, eco_config, eco_plan, 0, 1));
-      if (chaos) {
-        ecosystem::ChaosOptions chaos_options =
-            ecosystem::chaos_preset(options.chaos);
-        chaos_options.seed = options.chaos_seed;
-        lint_chaos =
-            ecosystem::apply_chaos(*lint_network, *lint_eco, chaos_options);
-      }
-    }
-    auto view = lint::collect_view(lint_eco->servers, lint_eco->now);
+    std::optional<ecosystem::World> whole_world;
+    if (shards > 1) whole_world = ecosystem::build_world(spec, eco_plan, 0, 1);
+    const ecosystem::World& lint_world =
+        whole_world.has_value() ? *whole_world : first_world;
+    const ecosystem::Ecosystem& lint_eco = lint_world.eco;
+    auto view = lint::collect_view(lint_eco.servers, lint_eco.now);
     auto lint_report = lint::lint_ecosystem(view);
     // L106: a chaos plan must never make a zone structurally unobservable.
-    lint_report.merge(lint::lint_chaos(lint_eco->servers, lint_chaos.links));
+    lint_report.merge(
+        lint::lint_chaos(lint_eco.servers, lint_world.chaos.links));
     std::printf("lint preflight: %zu zone version(s), %zu finding(s)\n",
                 lint_report.zones_checked(), lint_report.size());
     for (const auto& [rule, count] : lint_report.counts_by_rule()) {
@@ -291,15 +248,12 @@ int main(int argc, char** argv) {
   sharded_options.run = run_options;
   sharded_options.shards = shards;
   sharded_options.threads = options.threads;
-  sharded_options.base_network_seed = base_network_seed;
-  analysis::ShardWorldSource source =
-      [&build_world, first_world](std::size_t shard,
-                                  std::uint64_t net_seed) {
-        // Shard 0 reuses the preflight world (built with this exact seed);
-        // only one worker ever receives shard 0, so the move is safe.
-        if (shard == 0) return std::move(*first_world);
-        return build_world(shard, net_seed, nullptr, nullptr);
-      };
+  analysis::ShardWorldSource source = [&](std::size_t shard) {
+    // Shard 0 reuses the preflight world; only one worker ever receives
+    // shard 0, so the move is safe.
+    if (shard == 0) return std::move(first_world);
+    return ecosystem::build_world(spec, eco_plan, shard, shards);
+  };
 
   analysis::ShardedSurveyResult sharded;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -311,7 +265,7 @@ int main(int argc, char** argv) {
     // transport. Nothing serves locally — queries cross the kernel to the
     // serve process at the mapped loopback ports.
     net::WireAddressMap map(*wire_base);
-    for (const auto& server : preflight_eco->servers) {
+    for (const auto& server : first_world.eco.servers) {
       for (const auto& address : server->addresses()) {
         if (!map.add(address)) {
           std::fprintf(stderr,
@@ -323,9 +277,10 @@ int main(int argc, char** argv) {
       }
     }
     net::WireTransport transport(map);
-    sharded.merged = analysis::run_survey(
-        transport, first_world->hints, first_world->targets,
-        first_world->ns_domain_to_operator, first_world->now, run_options);
+    const ecosystem::Ecosystem& eco = first_world.eco;
+    sharded.merged =
+        analysis::run_survey(transport, eco.hints, eco.scan_targets,
+                             eco.ns_domain_to_operator, eco.now, run_options);
     // `merged` was replaced wholesale, so the fault view must be rebound to
     // the registry the new result owns (see ShardedSurveyResult).
     sharded.fault_stats = net::FaultStats(*sharded.merged.metrics);
