@@ -51,15 +51,7 @@ ChaosResult run_once(double scale, const std::string& preset, bool adaptive,
   const ecosystem::Ecosystem& eco = world.eco;
 
   analysis::SurveyRunOptions options;
-  if (adaptive) {
-    options.engine.attempts = 4;
-    options.engine.timeout_multiplier = 2.0;
-    options.engine.backoff_base = 50 * net::kMillisecond;
-    options.engine.backoff_cap = 2 * net::kSecond;
-    options.engine.retry_budget_ratio = 1.5;
-    options.engine.health.enable_circuit_breaker = true;
-    options.engine.health.enable_servfail_cache = true;
-  }
+  if (adaptive) options.engine = resolver::resilient_query_options();
   options.scanner.max_scan_attempts = scan_attempts;
   auto result = analysis::run_survey(network, eco.hints, eco.scan_targets,
                                      eco.ns_domain_to_operator, eco.now,

@@ -4,13 +4,7 @@
 #include <atomic>
 #include <thread>
 
-#include "base/rng.hpp"
-
 namespace dnsboot::analysis {
-
-std::size_t shard_of(const dns::Name& zone, std::size_t shards) {
-  return shard_of_canonical(zone.canonical_text(), shards);
-}
 
 namespace {
 

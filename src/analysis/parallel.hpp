@@ -66,11 +66,6 @@ struct ShardedSurveyResult {
   std::size_t threads = 0;
 };
 
-// Stable shard assignment: FNV-1a over the canonical zone text (delegates to
-// base shard_of_canonical, shared with ecosystem::build_shard). Independent
-// of scan order, target list position, and everything else mutable.
-std::size_t shard_of(const dns::Name& zone, std::size_t shards);
-
 ShardedSurveyResult run_sharded_survey(const ShardWorldSource& source,
                                        const ShardedSurveyOptions& options);
 

@@ -49,8 +49,4 @@ const std::vector<RuleInfo>& all_rules();
 // Metadata for one rule (the registry is total over RuleId).
 const RuleInfo& rule_info(RuleId id);
 
-// Lookup by code ("A001") or name ("unordered-serialization"); nullptr if
-// unknown.
-const RuleInfo* find_rule(std::string_view code_or_name);
-
 }  // namespace dnsboot::audit

@@ -46,17 +46,6 @@ Result<Bytes> ByteReader::bytes(std::size_t n) {
   return out;
 }
 
-Status ByteReader::skip(std::size_t n) {
-  if (remaining() < n) return Error{"wire.truncated", "skip past end"};
-  pos_ += n;
-  return Status::ok_status();
-}
-
-Result<std::uint8_t> ByteReader::peek_u8() const {
-  if (remaining() < 1) return Error{"wire.truncated", "peek past end"};
-  return data_[pos_];
-}
-
 void ByteWriter::u16(std::uint16_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v >> 8));
   buf_.push_back(static_cast<std::uint8_t>(v & 0xff));

@@ -34,10 +34,6 @@ class ByteReader {
   Result<std::uint16_t> u16();
   Result<std::uint32_t> u32();
   Result<Bytes> bytes(std::size_t n);
-  Status skip(std::size_t n);
-
-  // Peek at the byte at the cursor without consuming it.
-  Result<std::uint8_t> peek_u8() const;
 
  private:
   BytesView data_;

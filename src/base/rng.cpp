@@ -65,12 +65,6 @@ bool Rng::chance(double p) {
   return next_double() < p;
 }
 
-std::int64_t Rng::next_in_range(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 void Rng::fill(std::uint8_t* out, std::size_t n) {
   std::size_t i = 0;
   while (i + 8 <= n) {

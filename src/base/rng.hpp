@@ -31,8 +31,6 @@ class Rng {
   double next_double();
   // Bernoulli trial.
   bool chance(double p);
-  // Uniform in [lo, hi] inclusive.
-  std::int64_t next_in_range(std::int64_t lo, std::int64_t hi);
   // Fill a byte buffer.
   void fill(std::uint8_t* out, std::size_t n);
   std::vector<std::uint8_t> bytes(std::size_t n);

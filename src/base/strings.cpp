@@ -15,11 +15,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::vector<std::string> split(std::string_view s, char delim) {
   std::vector<std::string> out;
   std::size_t start = 0;

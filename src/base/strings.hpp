@@ -22,7 +22,6 @@ constexpr bool ascii_iequals(std::string_view a, std::string_view b) {
   return true;
 }
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 
 // Split on a single delimiter; empty fields preserved.
 std::vector<std::string> split(std::string_view s, char delim);

@@ -607,10 +607,6 @@ Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed) {
   return pk;
 }
 
-Ed25519Signature ed25519_sign(const Ed25519Seed& seed, BytesView message) {
-  return ed25519_sign(seed, ed25519_public_key(seed), message);
-}
-
 Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
                               const Ed25519PublicKey& public_key,
                               BytesView message) {

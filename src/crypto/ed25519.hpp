@@ -29,12 +29,9 @@ using Ed25519Signature = std::array<std::uint8_t, kEd25519SignatureSize>;
 // Derive the public key for a 32-byte seed (RFC 8032 §5.1.5).
 Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed);
 
-// Sign a message (RFC 8032 §5.1.6).
-Ed25519Signature ed25519_sign(const Ed25519Seed& seed, BytesView message);
-
-// Sign with a pre-derived public key, skipping one base-point multiplication.
-// `public_key` must equal ed25519_public_key(seed); bulk signers (the zone
-// generator) hold keys long-term and use this path.
+// Sign a message (RFC 8032 §5.1.6). `public_key` must equal
+// ed25519_public_key(seed): signers hold keys long-term, so deriving it once
+// saves one base-point multiplication per signature.
 Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
                               const Ed25519PublicKey& public_key,
                               BytesView message);

@@ -38,36 +38,6 @@ bool RRset::same_rdatas(const RRset& other) const {
   return a == b;
 }
 
-std::vector<RRset> group_into_rrsets(
-    const std::vector<ResourceRecord>& records) {
-  std::vector<RRset> out;
-  for (const auto& rr : records) {
-    RRset* target = nullptr;
-    for (auto& set : out) {
-      if (set.name == rr.name && set.type == rr.type && set.klass == rr.klass) {
-        target = &set;
-        break;
-      }
-    }
-    if (target == nullptr) {
-      out.push_back(RRset{rr.name, rr.type, rr.klass, rr.ttl, {}});
-      target = &out.back();
-    }
-    target->ttl = std::min(target->ttl, rr.ttl);
-    // Suppress duplicate rdatas (RFC 2181 §5: no duplicate records in a set).
-    Bytes incoming = canonical_rdata_bytes(rr.rdata);
-    bool duplicate = false;
-    for (const auto& existing : target->rdatas) {
-      if (canonical_rdata_bytes(existing) == incoming) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) target->rdatas.push_back(rr.rdata);
-  }
-  return out;
-}
-
 Bytes canonical_rdata_bytes(const Rdata& rdata) {
   ByteWriter w;
   encode_rdata(rdata, w, /*canonical=*/true);

@@ -46,9 +46,6 @@ struct RRset {
   bool same_rdatas(const RRset& other) const;
 };
 
-// Group loose records into RRsets, preserving first-seen order.
-std::vector<RRset> group_into_rrsets(const std::vector<ResourceRecord>& records);
-
 // Canonical wire form of one rdata, used for sorting inside signatures.
 Bytes canonical_rdata_bytes(const Rdata& rdata);
 

@@ -77,8 +77,8 @@ ChaosPlan apply_chaos(net::SimNetwork& network, Ecosystem& eco,
   Rng rng(options.seed);
   for (auto& server : eco.servers) {
     const std::string& id = server->config().id;
-    const bool infra =
-        options.exempt_infrastructure && is_infrastructure(id);
+    // Keep the root and TLD servers clean (see the header comment).
+    const bool infra = is_infrastructure(id);
 
     if (!infra) {
       // Server-side fault gates: each gate rolled independently per server,

@@ -4,8 +4,8 @@
 // `dnsboot-survey --chaos hostile` scans the same world the robustness tests
 // assert against.
 //
-// Root and TLD infrastructure is exempt from all faults by default: the
-// paper's scan presumes a reachable parent side, and a lossy or dead root
+// Root and TLD infrastructure is always exempt from faults: the paper's
+// scan presumes a reachable parent side, and a lossy or dead root
 // would make every zone unobservable for uninteresting reasons. Chaos is a
 // property of operator infrastructure, which is what the survey measures.
 #pragma once
@@ -60,9 +60,6 @@ struct ChaosOptions {
   // buckets on every non-exempt server). 0 leaves servers unhardened.
   double defense_per_client_qps = 0.0;
   double defense_per_client_burst = 32.0;
-
-  // Keep the root and TLD servers clean (see header comment).
-  bool exempt_infrastructure = true;
 };
 
 // Named presets: "off", "mild" (low loss, some duplication/reordering),

@@ -105,11 +105,4 @@ const RuleInfo& rule_info(RuleId id) {
   return all_rules().front();
 }
 
-const RuleInfo* find_rule(std::string_view code_or_name) {
-  for (const RuleInfo& rule : all_rules()) {
-    if (rule.code == code_or_name || rule.name == code_or_name) return &rule;
-  }
-  return nullptr;
-}
-
 }  // namespace dnsboot::lint

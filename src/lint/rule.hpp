@@ -63,7 +63,4 @@ const std::vector<RuleInfo>& all_rules();
 // Metadata for one rule (the registry is total over RuleId).
 const RuleInfo& rule_info(RuleId id);
 
-// Lookup by code ("L001") or name ("cds-unsigned-zone"); nullptr if unknown.
-const RuleInfo* find_rule(std::string_view code_or_name);
-
 }  // namespace dnsboot::lint

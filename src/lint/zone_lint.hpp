@@ -23,9 +23,6 @@ struct ZoneLintOptions {
   // RFC 9276 §3.1: validating resolvers may treat zones above this NSEC3
   // iteration count as insecure.
   std::uint16_t nsec3_iteration_limit = 100;
-  // Cryptographically verify every RRSIG (L006). Costs one Ed25519
-  // verification per signed RRset; disable for very large sweeps.
-  bool verify_signatures = true;
 };
 
 // Append findings for `zone` to `report`.

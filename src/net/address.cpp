@@ -34,15 +34,6 @@ IpAddress IpAddress::synthetic_v6(std::uint64_t index) {
   return v6(b);
 }
 
-Result<IpAddress> IpAddress::from_text(const std::string& text) {
-  if (text.find(':') != std::string::npos) {
-    DNSBOOT_TRY(octets, dns::ipv6_from_text(text));
-    return v6(octets);
-  }
-  DNSBOOT_TRY(octets, dns::ipv4_from_text(text));
-  return v4(octets);
-}
-
 std::string IpAddress::to_text() const {
   if (is_v6_) return dns::ipv6_to_text(bytes_);
   return dns::ipv4_to_text({bytes_[0], bytes_[1], bytes_[2], bytes_[3]});

@@ -8,8 +8,6 @@
 #include <cstdint>
 #include <string>
 
-#include "base/result.hpp"
-
 namespace dnsboot::net {
 
 class IpAddress {
@@ -22,8 +20,6 @@ class IpAddress {
   // index into 10.x.y.z (v4) or fd00::/8 space (v6).
   static IpAddress synthetic_v4(std::uint32_t index);
   static IpAddress synthetic_v6(std::uint64_t index);
-
-  static Result<IpAddress> from_text(const std::string& text);
 
   bool is_v6() const { return is_v6_; }
   const std::array<std::uint8_t, 16>& bytes() const { return bytes_; }

@@ -80,29 +80,9 @@ bool SimNetwork::is_bound(const IpAddress& address) const {
   return handlers_.count(address) > 0;
 }
 
-const LinkModel& SimNetwork::link_for(const IpAddress& destination) const {
-  auto it = link_overrides_.find(destination);
-  return it == link_overrides_.end() ? default_link_ : it->second;
-}
-
-void SimNetwork::set_link_to(const IpAddress& destination,
-                             const LinkModel& model) {
-  link_overrides_[destination] = model;
-}
-
 void SimNetwork::set_faults_to(const IpAddress& destination,
                                const FaultProfile& profile) {
   faults_to_[destination] = FaultRule{profile, 0};
-}
-
-void SimNetwork::set_faults_from(const IpAddress& source,
-                                 const FaultProfile& profile) {
-  faults_from_[source] = FaultRule{profile, 0};
-}
-
-void SimNetwork::clear_faults() {
-  faults_to_.clear();
-  faults_from_.clear();
 }
 
 void SimNetwork::set_attack_on(const IpAddress& target,
@@ -133,7 +113,7 @@ void SimNetwork::maybe_inject_attack(const Datagram& query) {
   // answer: the attacker sits nearer the victim than the server, so its
   // packets take about half of one one-way link latency, while the real
   // answer needs a full round trip plus service time.
-  const LinkModel& link = link_for(query.source);
+  const LinkModel& link = default_link_;
   auto racing_latency = [&]() -> SimTime {
     SimTime base = link.base_latency / 2;
     SimTime jitter = link.jitter > 0 ? rule.rng.next_below(link.jitter) : 0;
@@ -299,7 +279,7 @@ void SimNetwork::send(Datagram dgram) {
   // middle). The hook draws only the attacker's own RNG, so the legitimate
   // draw sequence below is unchanged whether or not an attack is scripted.
   maybe_inject_attack(dgram);
-  const LinkModel& link = link_for(dgram.destination);
+  const LinkModel& link = default_link_;
   if (rng_.chance(link.loss_rate)) {
     ++datagrams_dropped_;
     return;
@@ -308,15 +288,11 @@ void SimNetwork::send(Datagram dgram) {
   SimTime extra_latency = 0;
   bool duplicate = false;
   bool corrupt = false;
-  for (auto* rules : {&faults_to_, &faults_from_}) {
-    const IpAddress& key =
-        rules == &faults_to_ ? dgram.destination : dgram.source;
-    auto it = rules->find(key);
-    if (it == rules->end()) continue;
-    if (!apply_fault_rule(it->second, &extra_latency, &duplicate, &corrupt)) {
-      ++datagrams_dropped_;
-      return;
-    }
+  auto rule = faults_to_.find(dgram.destination);
+  if (rule != faults_to_.end() &&
+      !apply_fault_rule(rule->second, &extra_latency, &duplicate, &corrupt)) {
+    ++datagrams_dropped_;
+    return;
   }
   if (corrupt && !dgram.payload.empty()) {
     // One random bit-flip: enough to break the DNS header checksum-free

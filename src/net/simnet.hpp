@@ -6,10 +6,10 @@
 // messages over it, while latency, jitter, loss and anycast behaviour are
 // modelled here. Everything is deterministic given the seed.
 //
-// Beyond the per-link LinkModel, the simulator is a scriptable
-// fault-injection harness: direction-keyed FaultProfiles add time-windowed
-// blackholes, periodic link flaps, bursty loss, duplication, reordering and
-// payload corruption — the fault classes a real scan meets (paper §3, §4.4).
+// Beyond the LinkModel, the simulator is a scriptable fault-injection
+// harness: per-destination FaultProfiles add time-windowed blackholes,
+// periodic link flaps, bursty loss, duplication, reordering and payload
+// corruption — the fault classes a real scan meets (paper §3, §4.4).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,7 @@
 
 namespace dnsboot::net {
 
-// Per-path link characteristics.
+// Link characteristics, shared by every path.
 struct LinkModel {
   SimTime base_latency = 10 * kMillisecond;  // one-way
   SimTime jitter = 2 * kMillisecond;         // uniform [0, jitter)
@@ -42,8 +42,9 @@ struct TimeWindow {
   bool is_forever() const { return start == 0 && end == kSimTimeForever; }
 };
 
-// A scriptable fault schedule for one direction of one link. All probability
-// draws come from the network's seeded RNG, so a chaos run is reproducible.
+// A scriptable fault schedule for the datagrams addressed to one endpoint.
+// All probability draws come from the network's seeded RNG, so a chaos run
+// is reproducible.
 // Drop classes are evaluated in order: blackhole, flap, burst, uniform loss;
 // surviving datagrams may then be corrupted, reordered, or duplicated.
 struct FaultProfile {
@@ -164,16 +165,11 @@ class SimNetwork : public Transport {
   bool models_ports() const override { return true; }
 
   void set_default_link(const LinkModel& model) { default_link_ = model; }
-  // Override the link model for datagrams *to* a given destination.
-  void set_link_to(const IpAddress& destination, const LinkModel& model);
 
-  // Fault schedules are direction-keyed, which is what makes asymmetric
-  // loss expressible: a `to` rule affects datagrams addressed to the
-  // endpoint (queries), a `from` rule affects datagrams it originates
-  // (responses). Both rules apply when both match.
+  // Fault schedules are keyed by destination: the rule for an endpoint
+  // affects every datagram addressed to it (for a server, its queries).
+  // Setting a rule again replaces it.
   void set_faults_to(const IpAddress& destination, const FaultProfile& profile);
-  void set_faults_from(const IpAddress& source, const FaultProfile& profile);
-  void clear_faults();
 
   // Station an attacker watching traffic toward `target`. The attacker has
   // its own RNG (callers fork it per endpoint so plans are order-stable) and
@@ -252,7 +248,6 @@ class SimNetwork : public Transport {
     Rng rng;
   };
 
-  const LinkModel& link_for(const IpAddress& destination) const;
   void push_event(Event event);
   // Remove and return the earliest event (the (at, sequence) order is total,
   // so the heap pop is deterministic).
@@ -285,9 +280,7 @@ class SimNetwork : public Transport {
   // of outstanding timers.
   std::unordered_set<std::uint64_t> live_timers_;
   std::unordered_map<IpAddress, DatagramHandler, IpAddressHash> handlers_;
-  std::unordered_map<IpAddress, LinkModel, IpAddressHash> link_overrides_;
   std::unordered_map<IpAddress, FaultRule, IpAddressHash> faults_to_;
-  std::unordered_map<IpAddress, FaultRule, IpAddressHash> faults_from_;
   std::unordered_map<IpAddress, AttackRule, IpAddressHash> attacks_;
   LinkModel default_link_;
   Rng rng_;

@@ -16,6 +16,9 @@ namespace dnsboot::net {
 
 namespace {
 
+// Upper bound for a single blocking poll inside run()/run_forever().
+constexpr SimTime kMaxPollWait = 50 * kMillisecond;
+
 sockaddr_in to_sockaddr(const RealEndpoint& endpoint) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -651,7 +654,7 @@ std::size_t WireTransport::run(std::size_t max_events) {
     // from reporting idle once the workload's own timers have drained.
     const std::size_t background = idle_sweep_timer_ != 0 ? 1 : 0;
     if (loop_.live_timers() <= background && pending_tcp_writes() == 0) break;
-    processed += loop_.poll(options_.max_poll_wait);
+    processed += loop_.poll(kMaxPollWait);
   }
   return processed;
 }
@@ -665,7 +668,7 @@ void WireTransport::run_forever() {
   metrics_.verify_reset_writers();
   // audit-allow: A004 standalone stop flag; the eventfd wakeup is the sync
   while (!stop_.load(std::memory_order_relaxed) && error().empty()) {
-    loop_.poll(options_.max_poll_wait);
+    loop_.poll(kMaxPollWait);
     // Responses queued by handlers during this poll batch go out in one
     // sendmmsg per endpoint before the next blocking wait.
     flush_udp_sends();

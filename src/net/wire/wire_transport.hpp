@@ -34,8 +34,6 @@ struct WireTransportOptions {
   // SO_REUSEPORT on serving sockets: N worker threads each run their own
   // transport bound to the same real endpoints; the kernel spreads flows.
   bool reuse_port = false;
-  // Upper bound for a single blocking poll inside run()/run_forever().
-  SimTime max_poll_wait = 50 * kMillisecond;
   // Accepted-TCP-connection cap per transport. At the cap, accepting a new
   // connection first evicts the oldest-idle accepted connection — a
   // slowloris herd cannot pin the table while live clients knock.

@@ -200,10 +200,6 @@ std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second.get();
 }
 
-bool MetricsRegistry::has_counter(std::string_view name) const {
-  return counters_.find(name) != counters_.end();
-}
-
 const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;

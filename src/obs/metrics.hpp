@@ -166,7 +166,6 @@ class MetricsRegistry {
   // Reads. counter_value() returns 0 for unknown names (absent == never
   // incremented), which keeps assertions on merged registries total.
   std::uint64_t counter_value(std::string_view name) const;
-  bool has_counter(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;
 
   // Prometheus text exposition format (version 0.0.4): # HELP/# TYPE per

@@ -85,11 +85,6 @@ ProcessingOutcome CdsProcessor::decide(const dns::Name& zone,
 
   // --- delete requests (RFC 8078 §4) --------------------------------------
   if (report.cds.present && report.cds.delete_request) {
-    if (!config_.process_deletes) {
-      outcome.action = Action::kRejected;
-      outcome.reason = "delete requests disabled by policy";
-      return outcome;
-    }
     const bool had_ds =
         handle_.zone->find_rrset(zone, dns::RRType::kDS) != nullptr;
     if (!had_ds) {
@@ -109,7 +104,7 @@ ProcessingOutcome CdsProcessor::decide(const dns::Name& zone,
 
   // --- rollover on secured zones (RFC 7344) --------------------------------
   if (report.dnssec == dnssec::ZoneDnssecStatus::kSecure) {
-    if (!config_.process_rollovers || !report.cds.present) {
+    if (!report.cds.present) {
       outcome.action = Action::kNone;
       outcome.reason = "secured zone, no actionable CDS";
       return outcome;

@@ -32,8 +32,6 @@ struct RegistryConfig {
   dns::Name tld;
   UnauthenticatedPolicy unauthenticated = UnauthenticatedPolicy::kNever;
   net::SimTime holddown = net::SimTime{72} * 3600 * net::kSecond;
-  bool process_rollovers = true;
-  bool process_deletes = true;
   // DNSSEC validation time (simulated epoch seconds).
   std::uint32_t now = 0;
 };

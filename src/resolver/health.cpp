@@ -14,15 +14,6 @@ void ServerHealthTracker::open_circuit(Entry& e, net::SimTime now,
   }
 }
 
-void ServerHealthTracker::observe_loss(Entry& e, double sample) {
-  if (!e.has_loss) {
-    e.ewma_loss = sample;
-    e.has_loss = true;
-  } else {
-    e.ewma_loss += options_.ewma_alpha * (sample - e.ewma_loss);
-  }
-}
-
 bool ServerHealthTracker::allow(const net::IpAddress& server,
                                 net::SimTime now) {
   if (!options_.enable_circuit_breaker) return true;
@@ -45,17 +36,10 @@ bool ServerHealthTracker::allow(const net::IpAddress& server,
   return true;
 }
 
-void ServerHealthTracker::record_success(const net::IpAddress& server,
-                                         net::SimTime now, net::SimTime rtt) {
+void ServerHealthTracker::record_success(const net::IpAddress& server) {
+  if (!options_.enable_circuit_breaker) return;
   Entry& e = entry(server);
   e.consecutive_failures = 0;
-  if (!e.has_rtt) {
-    e.ewma_rtt = static_cast<double>(rtt);
-    e.has_rtt = true;
-  } else {
-    e.ewma_rtt += options_.ewma_alpha * (static_cast<double>(rtt) - e.ewma_rtt);
-  }
-  observe_loss(e, 0.0);
   if (e.state == CircuitState::kHalfOpen &&
       ++e.half_open_successes >= options_.half_open_successes) {
     e.state = CircuitState::kClosed;
@@ -63,14 +47,12 @@ void ServerHealthTracker::record_success(const net::IpAddress& server,
   }
   // A success while kOpen is a late answer to a pre-open query; the breaker
   // still waits out its cooldown.
-  (void)now;
 }
 
 void ServerHealthTracker::record_failure(const net::IpAddress& server,
                                          net::SimTime now) {
-  Entry& e = entry(server);
-  observe_loss(e, 1.0);
   if (!options_.enable_circuit_breaker) return;
+  Entry& e = entry(server);
   if (e.state == CircuitState::kHalfOpen) {
     open_circuit(e, now, /*reopen=*/true);
     return;
@@ -109,16 +91,6 @@ bool ServerHealthTracker::servfail_cached(const net::IpAddress& server,
 CircuitState ServerHealthTracker::state(const net::IpAddress& server) const {
   auto it = servers_.find(server);
   return it == servers_.end() ? CircuitState::kClosed : it->second.state;
-}
-
-double ServerHealthTracker::ewma_rtt(const net::IpAddress& server) const {
-  auto it = servers_.find(server);
-  return it == servers_.end() ? 0.0 : it->second.ewma_rtt;
-}
-
-double ServerHealthTracker::ewma_loss(const net::IpAddress& server) const {
-  auto it = servers_.find(server);
-  return it == servers_.end() ? 0.0 : it->second.ewma_loss;
 }
 
 }  // namespace dnsboot::resolver

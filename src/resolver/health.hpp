@@ -1,7 +1,6 @@
 // ServerHealthTracker — per-nameserver health state for the resilient query
-// engine: an EWMA of RTT and loss, a consecutive-failure circuit breaker
-// with a probing half-open state, and RFC 9520-style negative caching of
-// SERVFAIL responses.
+// engine: a consecutive-failure circuit breaker with a probing half-open
+// state, and RFC 9520-style negative caching of SERVFAIL responses.
 //
 // The tracker exists so a chaos scan stops hammering dead or wedged servers:
 // ZDNS-style retry discipline says the fastest way to finish a hostile scan
@@ -36,9 +35,6 @@ struct HealthOptions {
   // from cache without touching the wire.
   bool enable_servfail_cache = false;
   net::SimTime servfail_ttl = 5 * net::kSecond;
-
-  // EWMA smoothing factor for RTT and loss estimates.
-  double ewma_alpha = 0.2;
 };
 
 struct HealthStats {
@@ -60,9 +56,9 @@ class ServerHealthTracker {
   // the query as a probe.
   bool allow(const net::IpAddress& server, net::SimTime now);
 
-  void record_success(const net::IpAddress& server, net::SimTime now,
-                      net::SimTime rtt);
-  // A failed attempt (timeout or SERVFAIL) against the server.
+  // An answered attempt, and a failed one (timeout or SERVFAIL), against the
+  // server. Both keep per-server state only while the breaker is enabled.
+  void record_success(const net::IpAddress& server);
   void record_failure(const net::IpAddress& server, net::SimTime now);
 
   // SERVFAIL negative cache (keyed by server + question).
@@ -72,9 +68,6 @@ class ServerHealthTracker {
                        dns::RRType qtype, net::SimTime now);
 
   CircuitState state(const net::IpAddress& server) const;
-  // Smoothed estimates; 0 until the first sample.
-  double ewma_rtt(const net::IpAddress& server) const;
-  double ewma_loss(const net::IpAddress& server) const;
 
   const HealthStats& stats() const { return stats_; }
   const HealthOptions& options() const { return options_; }
@@ -85,15 +78,10 @@ class ServerHealthTracker {
     int consecutive_failures = 0;
     int half_open_successes = 0;
     net::SimTime opened_at = 0;
-    double ewma_rtt = 0.0;
-    double ewma_loss = 0.0;
-    bool has_rtt = false;
-    bool has_loss = false;
   };
 
   Entry& entry(const net::IpAddress& server) { return servers_[server]; }
   void open_circuit(Entry& e, net::SimTime now, bool reopen);
-  void observe_loss(Entry& e, double sample);
 
   HealthOptions options_;
   std::unordered_map<net::IpAddress, Entry, net::IpAddressHash> servers_;

@@ -7,6 +7,31 @@
 
 namespace dnsboot::resolver {
 
+namespace {
+
+// Birthday-attack detection: after this many rejected response candidates
+// attributed to one pending question, the engine abandons the UDP race and
+// re-queries over TCP (which an off-path attacker cannot join), marking the
+// server under_attack.
+constexpr int kForgeryAbortThreshold = 8;
+// A server whose responses hit this many wrong-destination-port rejections
+// is marked under_attack even without a per-query abort.
+constexpr int kPortMismatchMarkThreshold = 4;
+
+}  // namespace
+
+QueryEngineOptions resilient_query_options() {
+  QueryEngineOptions options;
+  options.attempts = 4;
+  options.timeout_multiplier = 2.0;
+  options.backoff_base = 50 * net::kMillisecond;
+  options.backoff_cap = 2 * net::kSecond;
+  options.retry_budget_ratio = 1.5;
+  options.health.enable_circuit_breaker = true;
+  options.health.enable_servfail_cache = true;
+  return options;
+}
+
 QueryEngine::QueryEngine(net::Transport& network,
                          net::IpAddress local_address,
                          QueryEngineOptions options)
@@ -65,8 +90,9 @@ void QueryEngine::mark_under_attack(const net::IpAddress& server) {
 void QueryEngine::count_forged_candidate(std::uint16_t id, Pending& p) {
   ++defense_.forged_rejected;
   ++p.forged_candidates;
-  if (options_.forgery_abort_threshold <= 0 || p.forgery_aborted) return;
-  if (p.forged_candidates < options_.forgery_abort_threshold) return;
+  if (p.forgery_aborted || p.forged_candidates < kForgeryAbortThreshold) {
+    return;
+  }
   // Birthday attack in progress: someone is sweeping candidates at this
   // exact question. Stop racing the attacker on UDP — re-issue over TCP,
   // which an off-path spoofer cannot join (RFC 5452 §9.3).
@@ -166,9 +192,10 @@ void QueryEngine::query(const net::IpAddress& server, const dns::Name& qname,
   pending.issued_at = network_.now();
   pending.traced = options_.tracer != nullptr && options_.tracer->sample();
   // One randomized source port per logical query (kept across retries so a
-  // late authentic answer to an earlier attempt still matches). Only drawn
-  // on transports that model ports; the kernel does this for the wire.
-  if (options_.randomize_ports && network_.models_ports()) {
+  // late authentic answer to an earlier attempt still matches): another 14
+  // bits an off-path attacker must guess. Only drawn on transports that
+  // model ports; the kernel does this for the wire.
+  if (network_.models_ports()) {
     pending.sport =
         static_cast<std::uint16_t>(49152 + rng_.next_below(16384));
   }
@@ -298,9 +325,7 @@ void QueryEngine::handle_datagram(const net::Datagram& dgram) {
       dgram.destination_port != p.sport) {
     ++stats_.mismatched;
     ++defense_.port_rejected;
-    if (options_.port_mismatch_mark_threshold > 0 &&
-        ++port_mismatches_[p.server] >=
-            options_.port_mismatch_mark_threshold) {
+    if (++port_mismatches_[p.server] >= kPortMismatchMarkThreshold) {
       mark_under_attack(p.server);
     }
     count_forged_candidate(it->first, p);
@@ -346,7 +371,7 @@ void QueryEngine::handle_datagram(const net::Datagram& dgram) {
     health_.record_servfail(p.server, p.qname, p.qtype, network_.now());
     health_.record_failure(p.server, network_.now());
   } else {
-    health_.record_success(p.server, network_.now(), rtt);
+    health_.record_success(p.server);
   }
   finish(message->header.id, std::move(message).take());
 }

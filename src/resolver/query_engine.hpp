@@ -9,9 +9,9 @@
 //
 // The retry policy is adaptive (ZDNS-style): per-attempt timeout schedules,
 // exponential backoff with decorrelated jitter, a global retry budget, and a
-// per-server health tracker (EWMA + circuit breaker + RFC 9520 SERVFAIL
-// cache). Every knob defaults to the seed's fixed 2s × 3 policy; chaos scans
-// opt in.
+// per-server health tracker (circuit breaker + RFC 9520 SERVFAIL cache).
+// Every knob defaults to the seed's fixed 2s × 3 policy; chaos scans opt in
+// (resilient_query_options).
 #pragma once
 
 #include <deque>
@@ -54,20 +54,11 @@ struct QueryEngineOptions {
   // Jitter RNG seed (deterministic runs).
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
 
-  // Anti-spoofing defenses (the attacker model the adversarial chaos tier
-  // drives; see DESIGN.md §13). Randomized IDs make every query a fresh
-  // 16-bit lottery; randomized source ports (only effective on transports
-  // that model ports) add another 14 bits an off-path attacker must guess.
+  // Anti-spoofing defense (the attacker model the adversarial chaos tier
+  // drives; see DESIGN.md §13): randomized IDs make every query a fresh
+  // 16-bit lottery. The engine also randomizes source ports and aborts
+  // birthday attacks; see query_engine.cpp.
   bool randomize_ids = true;
-  bool randomize_ports = true;
-  // Birthday-attack detection: after this many rejected response candidates
-  // attributed to one pending question, the engine abandons the UDP race and
-  // re-queries over TCP (which an off-path attacker cannot join), marking
-  // the server under_attack. 0 disables the abort.
-  int forgery_abort_threshold = 8;
-  // A server whose responses hit this many wrong-destination-port rejections
-  // is marked under_attack even without a per-query abort.
-  int port_mismatch_mark_threshold = 4;
 
   // Per-server health tracking (breaker + SERVFAIL cache); off by default.
   HealthOptions health;
@@ -77,6 +68,12 @@ struct QueryEngineOptions {
   // issue → final callback with the attempt count and outcome. Not owned.
   obs::Tracer* tracer = nullptr;
 };
+
+// The resilient retry policy scans use on lossy (chaos) worlds: escalating
+// per-attempt timeouts, decorrelated jitter between retries, a retry budget,
+// and per-server breakers with the RFC 9520 SERVFAIL cache. Every other
+// field keeps its default.
+QueryEngineOptions resilient_query_options();
 
 // Registry-backed counter view (obs/stats.hpp): fields read like the old
 // plain-uint64 struct but live in the engine's MetricsRegistry as

@@ -1,9 +1,28 @@
 #include "scanner/scanner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 namespace dnsboot::scanner {
+
+namespace {
+
+// Zones probed concurrently; bounds outstanding queries.
+constexpr std::size_t kMaxConcurrentZones = 256;
+
+// Cloudflare pool sampling (§3): when a zone's endpoint set is at least
+// kPoolThreshold addresses, scan only 1 IPv4 + 1 IPv6 endpoint for
+// (1 - kPoolFullScanFraction) of such zones.
+constexpr std::size_t kPoolThreshold = 6;
+constexpr double kPoolFullScanFraction = 0.05;
+
+// The RRsets asked of every endpoint of every zone.
+constexpr std::array kEndpointProbeTypes = {
+    dns::RRType::kSOA, dns::RRType::kNS, dns::RRType::kDNSKEY,
+    dns::RRType::kCDS, dns::RRType::kCDNSKEY};
+
+}  // namespace
 
 std::string to_string(RRsetProbe::Outcome outcome) {
   switch (outcome) {
@@ -136,7 +155,7 @@ void Scanner::scan(std::vector<dns::Name> zones, ZoneCallback on_zone) {
 void Scanner::run() { network_.run(); }
 
 void Scanner::start_next_zones() {
-  while (active_zones_ < options_.max_concurrent_zones && !queue_.empty()) {
+  while (active_zones_ < kMaxConcurrentZones && !queue_.empty()) {
     auto [zone, attempt] = std::move(queue_.front());
     queue_.pop_front();
     ++active_zones_;
@@ -273,9 +292,9 @@ RRsetProbe Scanner::make_probe_result(const dns::Name& ns,
 void Scanner::apply_pool_sampling(ZoneObservation& obs) {
   obs.endpoints_before_sampling = obs.endpoints.size();
   if (!options_.enable_pool_sampling) return;
-  if (obs.endpoints.size() < options_.pool_threshold) return;
+  if (obs.endpoints.size() < kPoolThreshold) return;
   Rng zone_rng = rng_.fork(obs.zone.canonical_text());
-  if (zone_rng.chance(options_.pool_full_scan_fraction)) {
+  if (zone_rng.chance(kPoolFullScanFraction)) {
     ++stats_.pool_zones_full;
     return;
   }
@@ -335,15 +354,11 @@ void Scanner::start_zone(const dns::Name& zone, int attempt) {
 }
 
 void Scanner::probe_endpoints(std::shared_ptr<ZoneTask> task) {
-  std::vector<dns::RRType> probe_types = {
-      dns::RRType::kSOA, dns::RRType::kNS, dns::RRType::kDNSKEY,
-      dns::RRType::kCDS, dns::RRType::kCDNSKEY};
-  if (options_.scan_csync) probe_types.push_back(dns::RRType::kCSYNC);
-  task->outstanding = task->obs.endpoints.size() * probe_types.size();
+  task->outstanding = task->obs.endpoints.size() * kEndpointProbeTypes.size();
   const dns::Name zone = task->obs.zone;
   std::weak_ptr<int> alive = alive_;
   for (const auto& endpoint : task->obs.endpoints) {
-    for (dns::RRType qtype : probe_types) {
+    for (dns::RRType qtype : kEndpointProbeTypes) {
       engine_.query(endpoint.address, zone, qtype,
                     [this, alive, task, endpoint, zone,
                      qtype](Result<dns::Message> response) {
@@ -427,7 +442,7 @@ void Scanner::run_signal_task(std::shared_ptr<ZoneTask> task,
         // Sample endpoints like the main scan (pools answer identically).
         std::vector<resolver::NsEndpoint> endpoints = delegation.endpoints;
         if (options_.enable_pool_sampling &&
-            endpoints.size() >= options_.pool_threshold) {
+            endpoints.size() >= kPoolThreshold) {
           std::vector<resolver::NsEndpoint> sampled;
           std::set<std::string> names_seen;
           for (const auto& endpoint : endpoints) {
@@ -464,8 +479,7 @@ void Scanner::run_signal_task(std::shared_ptr<ZoneTask> task,
               break;
             }
           }
-          if (!options_.probe_signal_zone_cuts ||
-              (!has_signal_data && !zone_has_cds) || endpoints.empty()) {
+          if ((!has_signal_data && !zone_has_cds) || endpoints.empty()) {
             task->obs.signals.push_back(std::move(signal->obs));
             if (--task->signals_outstanding == 0) zone_finished(task);
             return;

@@ -15,26 +15,12 @@
 namespace dnsboot::scanner {
 
 struct ScannerOptions {
-  // Zones probed concurrently; bounds outstanding queries.
-  std::size_t max_concurrent_zones = 256;
-
   // Probe the RFC 9615 signaling names.
   bool scan_signal_zones = true;
 
-  // Also query CSYNC (RFC 7477) at each endpoint — used by registries that
-  // synchronize NS/glue from the child (the paper's future-work pointer).
-  bool scan_csync = false;
-
-  // Cloudflare pool sampling (§3): when a zone's endpoint set is at least
-  // `pool_threshold` addresses, scan only 1 IPv4 + 1 IPv6 endpoint for
-  // (1 - pool_full_scan_fraction) of such zones.
-  std::size_t pool_threshold = 6;
-  double pool_full_scan_fraction = 0.05;
+  // Cloudflare pool sampling (§3): scan most zones with a large endpoint
+  // set at one IPv4 + one IPv6 endpoint only (thresholds in scanner.cpp).
   bool enable_pool_sampling = true;
-
-  // Zone-cut probing for signaling names (registry short-circuit, App. D):
-  // only performed when signal CDS records were actually found.
-  bool probe_signal_zone_cuts = true;
 
   // Bounded end-of-scan requeue: zones whose observation carries transient
   // failures are rescanned (after the main queue drains) up to this many

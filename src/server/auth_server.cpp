@@ -8,6 +8,11 @@
 namespace dnsboot::server {
 namespace {
 
+// Bounded per-client bucket table (ServerDefenseProfile): at capacity,
+// queries from *new* clients pass unthrottled rather than evicting state
+// (fail-open — the limiter is a flood dampener, not an ACL).
+constexpr std::size_t kMaxClientsTracked = 1024;
+
 // NSEC3 parameters of a zone, when it uses hashed denial.
 std::optional<dnssec::Nsec3Params> nsec3_params_of(const dns::Zone& zone) {
   const dns::RRset* param =
@@ -415,8 +420,8 @@ bool AuthServer::defense_gate(const net::IpAddress& client,
   if (defense.per_client_qps <= 0) return true;
   auto it = client_buckets_.find(client);
   if (it == client_buckets_.end()) {
-    if (client_buckets_.size() >= defense.max_clients_tracked) {
-      return true;  // table full: fail open (see ServerDefenseProfile)
+    if (client_buckets_.size() >= kMaxClientsTracked) {
+      return true;  // table full: fail open (see kMaxClientsTracked)
     }
     it = client_buckets_
              .emplace(client,

@@ -67,10 +67,6 @@ struct ServerDefenseProfile {
   // Token bucket per client source address; 0 qps disables the limiter.
   double per_client_qps = 0.0;
   double per_client_burst = 32.0;
-  // Bounded bucket table: at capacity, queries from *new* clients pass
-  // unthrottled rather than evicting state (fail-open — the limiter is a
-  // flood dampener, not an ACL).
-  std::size_t max_clients_tracked = 1024;
 };
 
 struct ServerConfig {
@@ -180,7 +176,7 @@ class AuthServer {
   net::SimTime fault_gate(const dns::Message& query, net::SimTime now,
                           std::optional<dns::Message>* short_circuit);
   // Per-client token bucket (RRL-style): false means drop the query
-  // silently. Tracking state is bounded by max_clients_tracked.
+  // silently. Tracking state is bounded (auth_server.cpp).
   bool defense_gate(const net::IpAddress& client, net::SimTime now);
   dns::Message respond_from_zone(const dns::Message& query,
                                  const dns::Zone& zone);
@@ -237,7 +233,7 @@ class AuthServer {
   std::uint64_t slow_queries_seen_ = 0;
 
   // Per-client limiter state (defense profile), bounded by
-  // max_clients_tracked.
+  // kMaxClientsTracked (auth_server.cpp).
   struct ClientBucket {
     double tokens = 0.0;
     net::SimTime last_refill = 0;

@@ -34,15 +34,15 @@ TEST(Bytes, ReaderSeekAndPeek) {
   Bytes data{0xaa, 0xbb, 0xcc};
   ByteReader r{data};
   EXPECT_TRUE(r.seek(2).ok());
-  EXPECT_EQ(r.peek_u8().value(), 0xcc);
   EXPECT_EQ(r.offset(), 2u);
+  EXPECT_EQ(r.u8().value(), 0xcc);
   EXPECT_FALSE(r.seek(4).ok());
 }
 
 TEST(Bytes, ReaderBytesAndSkip) {
   Bytes data{1, 2, 3, 4, 5};
   ByteReader r{data};
-  EXPECT_TRUE(r.skip(1).ok());
+  EXPECT_TRUE(r.seek(1).ok());
   auto chunk = r.bytes(3);
   ASSERT_TRUE(chunk.ok());
   EXPECT_EQ(chunk.value(), (Bytes{2, 3, 4}));
@@ -180,18 +180,6 @@ TEST(Rng, ChanceExtremes) {
   EXPECT_TRUE(rng.chance(1.0));
 }
 
-TEST(Rng, RangeInclusive) {
-  Rng rng(3);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    auto v = rng.next_in_range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
-}
-
 TEST(Rng, FillProducesAllBytesEventually) {
   Rng rng(9);
   auto buf = rng.bytes(65536);
@@ -224,8 +212,6 @@ TEST(Strings, AsciiCaseHelpers) {
   EXPECT_TRUE(ascii_iequals("CDS", "cds"));
   EXPECT_FALSE(ascii_iequals("cds", "cdnskey"));
   EXPECT_TRUE(starts_with("_dsboot.example", "_dsboot."));
-  EXPECT_TRUE(ends_with("ns1.cloudflare.com", ".cloudflare.com"));
-  EXPECT_FALSE(ends_with("x", "longer"));
 }
 
 TEST(Strings, SplitJoinTrim) {

@@ -76,16 +76,8 @@ ChaosWorld run_chaos_survey(const ChaosOptions& chaos, bool adaptive,
 
   analysis::SurveyRunOptions options;
   options.keep_reports = true;
+  if (adaptive) options.engine = resolver::resilient_query_options();
   options.engine.per_server_qps = 1000;  // keep tests fast
-  if (adaptive) {
-    options.engine.attempts = 4;
-    options.engine.timeout_multiplier = 2.0;
-    options.engine.backoff_base = 50 * net::kMillisecond;
-    options.engine.backoff_cap = 2 * net::kSecond;
-    options.engine.retry_budget_ratio = 1.5;
-    options.engine.health.enable_circuit_breaker = true;
-    options.engine.health.enable_servfail_cache = true;
-  }
   options.scanner.max_scan_attempts = scan_attempts;
   world.result = analysis::run_survey(*world.network, world.eco.hints,
                                       world.eco.scan_targets,

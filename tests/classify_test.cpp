@@ -15,6 +15,11 @@ dns::Name name_of(const std::string& text) {
   return std::move(dns::Name::from_text(text)).take();
 }
 
+// 10.0.0.<host>: the fake world's nameserver endpoints.
+net::IpAddress endpoint_of(std::uint8_t host) {
+  return net::IpAddress::v4({10, 0, 0, host});
+}
+
 constexpr std::uint32_t kNow = 5'000'000;
 
 // A self-contained fake world: root + TLD + zone keys with a consistent
@@ -100,10 +105,10 @@ struct FakeWorld {
   }
 
   RRsetProbe probe_of(const dnssec::SignedRRset& rrset,
-                      const char* endpoint = "10.0.0.1") {
+                      net::IpAddress endpoint = endpoint_of(1)) {
     RRsetProbe probe;
     probe.ns = name_of("ns1.host.test.");
-    probe.endpoint = std::move(net::IpAddress::from_text(endpoint)).take();
+    probe.endpoint = endpoint;
     probe.qname = rrset.rrset.name;
     probe.qtype = rrset.rrset.type;
     probe.outcome = RRsetProbe::Outcome::kAnswer;
@@ -111,10 +116,11 @@ struct FakeWorld {
     return probe;
   }
 
-  RRsetProbe nodata_probe(dns::RRType type, const char* endpoint = "10.0.0.1") {
+  RRsetProbe nodata_probe(dns::RRType type,
+                          net::IpAddress endpoint = endpoint_of(1)) {
     RRsetProbe probe;
     probe.ns = name_of("ns1.host.test.");
-    probe.endpoint = std::move(net::IpAddress::from_text(endpoint)).take();
+    probe.endpoint = endpoint;
     probe.qname = zone;
     probe.qtype = type;
     probe.outcome = RRsetProbe::Outcome::kNoData;
@@ -129,9 +135,8 @@ struct FakeWorld {
     obs.tld = tld;
     obs.resolved = true;
     obs.parent_ns = {name_of("ns1.host.test.")};
-    obs.endpoints = {resolver::NsEndpoint{
-        name_of("ns1.host.test."),
-        std::move(net::IpAddress::from_text("10.0.0.1")).take()}};
+    obs.endpoints = {
+        resolver::NsEndpoint{name_of("ns1.host.test."), endpoint_of(1)}};
     obs.probes.push_back(probe_of(signed_soa_rrset()));
     obs.probes.push_back(probe_of(signed_dnskey_rrset(zone, zone_keys)));
     obs.probes.push_back(probe_of(signed_cds_rrset(zone_keys)));
@@ -217,7 +222,7 @@ TEST(Classify, DivergentCdsAcrossEndpointsIsInconsistent) {
   Rng rng(10);
   auto stale = dnssec::ZoneKeys::generate(rng);
   obs.probes.push_back(
-      world.probe_of(world.signed_cds_rrset(stale), "10.0.0.2"));
+      world.probe_of(world.signed_cds_rrset(stale), endpoint_of(2)));
   auto report = world.analyze(obs);
   EXPECT_FALSE(report.cds.consistent);
 }
@@ -225,7 +230,8 @@ TEST(Classify, DivergentCdsAcrossEndpointsIsInconsistent) {
 TEST(Classify, CdsQueryErrorsAreCounted) {
   FakeWorld world;
   auto obs = world.island_observation();
-  RRsetProbe error_probe = world.nodata_probe(dns::RRType::kCDS, "10.0.0.2");
+  RRsetProbe error_probe =
+      world.nodata_probe(dns::RRType::kCDS, endpoint_of(2));
   error_probe.outcome = RRsetProbe::Outcome::kError;
   error_probe.rcode = dns::Rcode::kFormErr;
   obs.probes.push_back(error_probe);
@@ -241,9 +247,8 @@ TEST(Classify, UnsignedZoneWithCdsStaysUnsignedBranch) {
   obs.zone = world.zone;
   obs.tld = world.tld;
   obs.resolved = true;
-  obs.endpoints = {resolver::NsEndpoint{
-      name_of("ns1.host.test."),
-      std::move(net::IpAddress::from_text("10.0.0.1")).take()}};
+  obs.endpoints = {
+      resolver::NsEndpoint{name_of("ns1.host.test."), endpoint_of(1)}};
   // CDS present but no DNSKEY / no signatures anywhere (Canal Dominios).
   dnssec::SignedRRset cds;
   cds.rrset.name = world.zone;

@@ -395,29 +395,6 @@ TEST(RRset, SameRdatasIgnoresOrder) {
   EXPECT_FALSE(x.same_rdatas(y));
 }
 
-TEST(RRset, GroupIntoRRsetsMergesAndDeduplicates) {
-  ResourceRecord r1;
-  r1.name = name_of("e.");
-  r1.type = RRType::kA;
-  r1.ttl = 100;
-  r1.rdata = ARdata{{1, 2, 3, 4}};
-  ResourceRecord r2 = r1;
-  r2.ttl = 50;  // lower TTL wins
-  ResourceRecord r3 = r1;
-  r3.rdata = ARdata{{5, 6, 7, 8}};
-  ResourceRecord other;
-  other.name = name_of("e.");
-  other.type = RRType::kTXT;
-  other.ttl = 10;
-  other.rdata = TxtRdata{{"x"}};
-
-  auto sets = group_into_rrsets({r1, r2, r3, other});
-  ASSERT_EQ(sets.size(), 2u);
-  EXPECT_EQ(sets[0].rdatas.size(), 2u);  // r1/r2 dedup + r3
-  EXPECT_EQ(sets[0].ttl, 50u);
-  EXPECT_EQ(sets[1].type, RRType::kTXT);
-}
-
 // --- Zone --------------------------------------------------------------------
 
 Zone make_test_zone() {

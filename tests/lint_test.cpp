@@ -124,24 +124,12 @@ TEST(RuleRegistry, CodesAreUniqueAndOrdered) {
     EXPECT_TRUE(codes.insert(rule.code).second) << rule.code;
     EXPECT_TRUE(names.insert(rule.name).second) << rule.name;
     EXPECT_FALSE(rule.rationale.empty()) << rule.code;
+    EXPECT_EQ(&rule_info(rule.id), &rule);
   }
   EXPECT_TRUE(std::is_sorted(rules.begin(), rules.end(),
                              [](const RuleInfo& a, const RuleInfo& b) {
                                return a.code < b.code;
                              }));
-}
-
-TEST(RuleRegistry, LookupByCodeAndName) {
-  const RuleInfo* by_code = find_rule("L001");
-  ASSERT_NE(by_code, nullptr);
-  EXPECT_EQ(by_code->id, RuleId::kCdsUnsignedZone);
-  const RuleInfo* by_name = find_rule("cds-unsigned-zone");
-  ASSERT_NE(by_name, nullptr);
-  EXPECT_EQ(by_name->id, RuleId::kCdsUnsignedZone);
-  EXPECT_EQ(find_rule("L999"), nullptr);
-  for (const RuleInfo& rule : all_rules()) {
-    EXPECT_EQ(&rule_info(rule.id), &rule);
-  }
 }
 
 // --- single-zone rules, clean fixtures ---------------------------------------

@@ -7,17 +7,16 @@ namespace dnsboot::net {
 namespace {
 
 TEST(IpAddress, V4TextRoundTrip) {
-  auto a = IpAddress::from_text("192.0.2.1");
-  ASSERT_TRUE(a.ok());
-  EXPECT_FALSE(a->is_v6());
-  EXPECT_EQ(a->to_text(), "192.0.2.1");
+  auto a = IpAddress::v4({192, 0, 2, 1});
+  EXPECT_FALSE(a.is_v6());
+  EXPECT_EQ(a.to_text(), "192.0.2.1");
 }
 
 TEST(IpAddress, V6TextRoundTrip) {
-  auto a = IpAddress::from_text("2001:db8::53");
-  ASSERT_TRUE(a.ok());
-  EXPECT_TRUE(a->is_v6());
-  EXPECT_EQ(a->to_text(), "2001:db8:0:0:0:0:0:53");
+  auto a = IpAddress::v6(
+      {0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x53});
+  EXPECT_TRUE(a.is_v6());
+  EXPECT_EQ(a.to_text(), "2001:db8:0:0:0:0:0:53");
 }
 
 TEST(IpAddress, SyntheticAddressesAreDistinct) {
@@ -143,23 +142,6 @@ TEST(SimNetwork, NestedSchedulingFromHandlers) {
   net.run();
   EXPECT_EQ(hops, 5);
   EXPECT_EQ(net.now(), 5 * kMillisecond);
-}
-
-TEST(SimNetwork, PerDestinationLinkOverride) {
-  SimNetwork net(1);
-  net.set_default_link(LinkModel{10 * kMillisecond, 0, 0.0});
-  auto fast = IpAddress::synthetic_v4(1);
-  auto slow = IpAddress::synthetic_v4(2);
-  net.set_link_to(fast, LinkModel{1 * kMillisecond, 0, 0.0});
-  SimTime fast_at = 0, slow_at = 0;
-  net.bind(fast, [&](const Datagram&) { fast_at = net.now(); });
-  net.bind(slow, [&](const Datagram&) { slow_at = net.now(); });
-  auto src = IpAddress::synthetic_v4(3);
-  net.send(src, fast, Bytes{0});
-  net.send(src, slow, Bytes{0});
-  net.run();
-  EXPECT_EQ(fast_at, 1 * kMillisecond);
-  EXPECT_EQ(slow_at, 10 * kMillisecond);
 }
 
 TEST(SimNetwork, JitterStaysWithinBound) {
@@ -340,7 +322,7 @@ TEST(SimNetwork, ReorderingDelaysDatagramPastLaterOne) {
   net.bind(server, [&](const Datagram& d) { order.push_back(d.payload[0]); });
   net.send(client, server, Bytes{1});
   // Without faults the second datagram (sent later) arrives second.
-  net.clear_faults();
+  net.set_faults_to(server, FaultProfile{});
   net.schedule(10 * kMillisecond, [&] { net.send(client, server, Bytes{2}); });
   net.run();
   ASSERT_EQ(order.size(), 2u);
@@ -372,35 +354,6 @@ TEST(SimNetwork, CorruptionFlipsExactlyOneBit) {
   }
   EXPECT_EQ(flipped_bits, 1);
   EXPECT_EQ(net.fault_stats().corrupted, 1u);
-}
-
-TEST(SimNetwork, AsymmetricLossIsDirectionKeyed) {
-  // Queries toward the server are blackholed; responses from it are clean —
-  // and vice versa for a second server. Direction-keyed rules never leak
-  // onto the other half of the path.
-  SimNetwork net(9);
-  net.set_default_link(LinkModel{kMillisecond, 0, 0.0});
-  auto server_a = IpAddress::synthetic_v4(1);
-  auto server_b = IpAddress::synthetic_v4(2);
-  auto client = IpAddress::synthetic_v4(3);
-  FaultProfile dead;
-  dead.blackholes.push_back(TimeWindow{});  // forever
-  net.set_faults_to(server_a, dead);    // queries to A die
-  net.set_faults_from(server_b, dead);  // responses from B die
-
-  int a_received = 0, b_received = 0, client_received = 0;
-  net.bind(server_a, [&](const Datagram&) { ++a_received; });
-  net.bind(server_b, [&](const Datagram& d) {
-    ++b_received;
-    net.send(d.destination, d.source, Bytes{1});
-  });
-  net.bind(client, [&](const Datagram&) { ++client_received; });
-  net.send(client, server_a, Bytes{0});
-  net.send(client, server_b, Bytes{0});
-  net.run();
-  EXPECT_EQ(a_received, 0);       // to-rule dropped the query
-  EXPECT_EQ(b_received, 1);       // B's query direction is clean
-  EXPECT_EQ(client_received, 0);  // from-rule dropped B's response
 }
 
 TEST(SimNetwork, FaultLossStacksWithLinkLoss) {

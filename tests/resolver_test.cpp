@@ -255,9 +255,9 @@ TEST(HealthTracker, CircuitOpensHalfOpensAndCloses) {
   EXPECT_EQ(tracker.stats().half_open_probes, 1u);
 
   // Two successful probes close it.
-  tracker.record_success(server, 20 + net::kSecond, 5 * net::kMillisecond);
+  tracker.record_success(server);
   EXPECT_EQ(tracker.state(server), CircuitState::kHalfOpen);
-  tracker.record_success(server, 21 + net::kSecond, 5 * net::kMillisecond);
+  tracker.record_success(server);
   EXPECT_EQ(tracker.state(server), CircuitState::kClosed);
   EXPECT_EQ(tracker.stats().circuit_closes, 1u);
   EXPECT_TRUE(tracker.allow(server, 22 + net::kSecond));
@@ -279,23 +279,6 @@ TEST(HealthTracker, FailedProbeReopensCircuit) {
   EXPECT_EQ(tracker.stats().circuit_reopens, 1u);
   // The re-opened circuit rejects again until the next cooldown.
   EXPECT_FALSE(tracker.allow(server, net::kSecond + 10));
-}
-
-TEST(HealthTracker, EwmaTracksRttAndLoss) {
-  ServerHealthTracker tracker(HealthOptions{});
-  auto server = net::IpAddress::synthetic_v4(1);
-  EXPECT_EQ(tracker.ewma_rtt(server), 0.0);
-  tracker.record_success(server, 0, 10 * net::kMillisecond);
-  EXPECT_NEAR(tracker.ewma_rtt(server), 10.0 * net::kMillisecond, 1.0);
-  tracker.record_success(server, 0, 20 * net::kMillisecond);
-  EXPECT_GT(tracker.ewma_rtt(server), 10.0 * net::kMillisecond);
-  EXPECT_LT(tracker.ewma_rtt(server), 20.0 * net::kMillisecond);
-  // Loss estimate rises on failures, falls back on successes.
-  tracker.record_failure(server, 0);
-  double lossy = tracker.ewma_loss(server);
-  EXPECT_GT(lossy, 0.0);
-  tracker.record_success(server, 0, 10 * net::kMillisecond);
-  EXPECT_LT(tracker.ewma_loss(server), lossy);
 }
 
 TEST(HealthTracker, ServfailCacheHonoursTtl) {
@@ -565,8 +548,7 @@ struct TreeFixture {
     // ns2 addresses from the host zone:
     zone_server->attach(network, net::IpAddress::v4({10, 0, 0, 13}));
     zone_server->attach(network, net::IpAddress::v4({10, 0, 0, 14}));
-    auto v6 = std::move(net::IpAddress::from_text("fd00::f")).take();
-    zone_server->attach(network, v6);
+    zone_server->attach(network, zone_addr_v6);  // fd00::f
     // Careful: 10.0.0.13 serves BOTH ns-host.net and example.com here; give
     // the combined server both zones (operators co-host).
     zone_server->add_zone(host_server->zone_for(name_of("ns-host.net.")));

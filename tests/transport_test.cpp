@@ -157,7 +157,7 @@ TEST(Transport, StaleTruncatedDuplicateIgnoredAfterFallback) {
   Fixture fx;
   net::FaultProfile duplicating;
   duplicating.duplicate_rate = 1.0;
-  fx.network.set_faults_from(fx.server_addr, duplicating);
+  fx.network.set_faults_to(fx.client_addr, duplicating);
   resolver::QueryEngine engine(fx.network, fx.client_addr,
                                resolver::QueryEngineOptions{});
   int callbacks = 0;

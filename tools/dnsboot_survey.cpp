@@ -225,16 +225,9 @@ int main(int argc, char** argv) {
   const bool lossy_chaos =
       options.chaos == "mild" || options.chaos == "hostile";
   if (lossy_chaos) {
-    // Resilient retry policy: escalating per-attempt timeouts, decorrelated
-    // jitter between retries, a retry budget, per-server breakers with the
-    // RFC 9520 SERVFAIL cache, and a second scan pass for transient losers.
-    run_options.engine.attempts = 4;
-    run_options.engine.timeout_multiplier = 2.0;
-    run_options.engine.backoff_base = 50 * net::kMillisecond;
-    run_options.engine.backoff_cap = 2 * net::kSecond;
-    run_options.engine.retry_budget_ratio = 1.5;
-    run_options.engine.health.enable_circuit_breaker = true;
-    run_options.engine.health.enable_servfail_cache = true;
+    // The resilient retry policy, and a second scan pass for transient
+    // losers.
+    run_options.engine = resolver::resilient_query_options();
     run_options.scanner.max_scan_attempts = 2;
   }
   if (options.scan_attempts > 0) {
