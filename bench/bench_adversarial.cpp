@@ -96,9 +96,7 @@ RunMeasurement run_once(double eco_scale, std::uint64_t seed,
   // compares the two runs' reports.
   analysis::SurveyRunOptions options;
   options.keep_reports = true;
-  auto result = analysis::run_survey(network, eco.hints, eco.scan_targets,
-                                     eco.ns_domain_to_operator, eco.now,
-                                     options);
+  auto result = analysis::run_survey(network, eco, options);
   RunMeasurement m;
   m.zones = result.survey.total;
   m.queries = result.engine_stats.queries;

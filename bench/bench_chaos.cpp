@@ -3,11 +3,14 @@
 // jittered backoff, circuit breakers, retry budget, requeue pass).
 // Reported per run: completion rate by scan quality, wasted sends, fail-fast
 // rejections, and the per-fault-class drop counters from the simulator.
-#include "survey_common.hpp"
-
 #include <chrono>
+#include <cstdio>
+#include <string>
 
+#include "analysis/survey.hpp"
 #include "bench_json.hpp"
+#include "ecosystem/world.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
@@ -53,9 +56,7 @@ ChaosResult run_once(double scale, const std::string& preset, bool adaptive,
   analysis::SurveyRunOptions options;
   if (adaptive) options.engine = resolver::resilient_query_options();
   options.scanner.max_scan_attempts = scan_attempts;
-  auto result = analysis::run_survey(network, eco.hints, eco.scan_targets,
-                                     eco.ns_domain_to_operator, eco.now,
-                                     options);
+  auto result = analysis::run_survey(network, eco, options);
   ChaosResult out;
   out.zones = result.survey.total;
   out.complete = result.survey.scan_complete;
@@ -119,9 +120,18 @@ void report(const char* label, const ChaosResult& r) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  double scale_denom = 40000;
+  dnsboot::cli::FlagParser parser(
+      "bench_chaos — scanner resilience under injected faults: fixed-retry\n"
+      "vs adaptive policy in clean, mild and hostile worlds");
+  parser.value("--scale-denom", &scale_denom,
+               "world scale divisor (zones ~ 1/N of the paper's)", 1e-9);
+  if (!parser.parse(argc, argv)) return 2;
+  if (parser.help_requested()) return 0;
+
   std::printf("bench_chaos — scanner resilience under injected faults\n");
-  const double scale = dnsboot::bench::scale_from_env() / 10;
+  const double scale = 1.0 / scale_denom;
 
   std::printf("\n== clean world (baseline) ==\n");
   report("fixed-retry, 1 pass", run_once(scale, "off", false, 1));

@@ -1,11 +1,12 @@
 // Scan-feasibility measurements (paper §3 + Appendix D) and the design
 // ablations called out in DESIGN.md §4: per-NS query volume, the Cloudflare
 // pool-sampling policy, and the 50 qps/NS rate limit's effect on scan time.
-#include "survey_common.hpp"
-
 #include <chrono>
+#include <cstdio>
 
+#include "analysis/survey.hpp"
 #include "bench_json.hpp"
+#include "ecosystem/world.hpp"
 #include "scanner/targets.hpp"
 
 namespace {
@@ -37,9 +38,7 @@ AblationResult run_once(double scale, bool pool_sampling, double qps,
   options.engine.per_server_qps = qps;
   options.scanner.enable_pool_sampling = pool_sampling;
   options.scanner.scan_signal_zones = signal_scan;
-  auto result = analysis::run_survey(network, eco.hints, eco.scan_targets,
-                                     eco.ns_domain_to_operator, eco.now,
-                                     options);
+  auto result = analysis::run_survey(network, eco, options);
   AblationResult out;
   out.queries = result.engine_stats.queries;
   out.datagrams = result.datagrams;

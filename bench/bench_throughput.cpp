@@ -16,6 +16,7 @@
 // exceeds the budget. Worlds are built per shard from a shared
 // EcosystemPlan, so peak memory tracks the largest concurrent set of shard
 // slices, not the whole population.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -74,18 +75,18 @@ RunMeasurement run_once(const ecosystem::WorldSpec& spec,
   auto end = std::chrono::steady_clock::now();
   m.peak_rss_bytes = bench::read_peak_rss_bytes();
 
-  m.threads = result.threads;
-  m.shards = result.shards;
+  m.threads = std::min(threads, shards);  // the executor's clamp
+  m.shards = shards;
   m.wall_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
-  m.zones = result.merged.survey.total;
-  m.events = result.events_processed;
-  m.queries = result.merged.engine_stats.queries;
+  m.zones = result.survey.total;
+  m.events = result.metrics->counter_value("dnsboot_net_events");
+  m.queries = result.engine_stats.queries;
   m.simulated_sec =
-      result.merged.simulated_duration / static_cast<double>(net::kSecond);
-  m.report_json = analysis::survey_to_json(result.merged);
+      result.simulated_duration / static_cast<double>(net::kSecond);
+  m.report_json = analysis::survey_to_json(result);
   if (const obs::Histogram* rtt =
-          result.merged.metrics->find_histogram("dnsboot_engine_rtt_usec")) {
+          result.metrics->find_histogram("dnsboot_engine_rtt_usec")) {
     m.rtt_usec = *rtt;
   }
   return m;

@@ -1,7 +1,7 @@
 // measurement_study — a miniature end-to-end reproduction of the paper:
 // build the calibrated synthetic Internet at 1/100000 scale, run the YoDNS-
 // style scan, and print the study's key findings. The full-size version of
-// every table lives in bench/ (one binary per table/figure).
+// every table is bench/bench_paper.
 #include <cstdio>
 
 #include "analysis/survey.hpp"
@@ -22,9 +22,7 @@ int main() {
               "(1/100000 of the paper's 287.6 M)\n\n",
               eco.scan_targets.size());
 
-  auto result =
-      analysis::run_survey(*world.network, eco.hints, eco.scan_targets,
-                           eco.ns_domain_to_operator, eco.now);
+  auto result = analysis::run_survey(*world.network, eco);
   const analysis::Survey& s = result.survey;
   double total = static_cast<double>(s.total - s.unresolved);
 

@@ -78,9 +78,7 @@ int main() {
   // report what a registry sees for each candidate.
   analysis::SurveyRunOptions options;
   options.keep_reports = true;
-  auto result =
-      analysis::run_survey(*world.network, eco.hints, eco.scan_targets,
-                           eco.ns_domain_to_operator, eco.now, options);
+  auto result = analysis::run_survey(*world.network, eco, options);
 
   std::printf("registry_ab_check — RFC 9615 decisions for %zu zones under "
               "the simulated .ch\n",

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Streaming-scale smoke (DESIGN.md §14): proves the sharded survey executor
 # is memory-bounded by the shard *slice*, not the population, and that the
-# streaming shard worlds still see the same Internet as the legacy
-# single-world pipeline.
+# streaming shard worlds still see the same Internet as one whole-world
+# shard.
 #
 #   1. A ~1M-zone sharded survey (bench_throughput, Release build
 #      recommended) runs under a hard address-space ulimit sized for shard
@@ -11,13 +11,13 @@
 #      is the streaming guarantee; --max-bytes-per-zone turns the footprint
 #      into an explicit gate and the bench itself checks merged-report
 #      byte-identity across thread counts.
-#   2. An overlapping-slice diff against the legacy pipeline: the same
-#      population surveyed with --shards 1 (the legacy single-world path,
-#      byte-compatible per DESIGN.md §9.2) and with many shards must agree
-#      zone-for-zone on every network-independent column (truth,
-#      DNSSEC/CDS classification, eligibility, AB adoption). Shard count
-#      legitimately changes packet timing, so timing-dependent columns are
-#      excluded; with --no-pathologies everything else is pure zone truth.
+#   2. An overlapping-slice diff against one shard: the same population
+#      surveyed with --shards 1 (one world holding every zone, DESIGN.md
+#      §9.2) and with many shards must agree zone-for-zone on every
+#      network-independent column (truth, DNSSEC/CDS classification,
+#      eligibility, AB adoption). Shard count legitimately changes packet
+#      timing, so timing-dependent columns are excluded; with
+#      --no-pathologies everything else is pure zone truth.
 #
 # Usage: scripts/scale_smoke.sh [BUILD_DIR]
 #   BUILD_DIR        cmake build tree holding bench/ and tools/ (default:
@@ -29,9 +29,9 @@
 #   THREADS          worker threads for the big rung (default 4)
 #   VMEM_CAP_KB      hard ulimit -v for the big rung (default 6291456 = 6 GiB)
 #   MAX_BPZ          bytes-per-zone gate for the big rung (default 6144)
-#   DIFF_SCALE_DENOM population denominator for the legacy diff (default
-#                    40000 ~= 7.2k zones, small enough to build one full
-#                    legacy world)
+#   DIFF_SCALE_DENOM population denominator for the 1-shard diff (default
+#                    40000 ~= 7.2k zones, small enough to build one whole
+#                    world)
 #   SEED             ecosystem seed (default 1)
 set -euo pipefail
 
@@ -68,15 +68,15 @@ grep -q '"reports_identical": true' "$workdir/ladder.json" \
   || fail "merged reports not byte-identical across thread counts"
 echo "scale_smoke: capped run passed, footprint within ${max_bpz} B/zone"
 
-# --- 2. overlapping-slice diff vs the legacy single-world pipeline ---------
+# --- 2. overlapping-slice diff vs one whole-world shard --------------------
 # Network-independent CSV columns: zone..cds_rrsig_valid (1-12) and
 # eligibility,signal_present,ab (14-16). cds_query_failed (13) and the
 # runtime columns (17+) depend on per-shard packet timing by design.
-echo "scale_smoke: rung 2 — legacy(1-shard) vs streaming($shards-shard) diff," \
+echo "scale_smoke: rung 2 — 1-shard vs streaming($shards-shard) diff," \
   "1/$diff_denom population"
 "$survey" --scale-denom "$diff_denom" --seed "$seed" --no-pathologies \
-  --shards 1 --threads 1 --csv "$workdir/legacy.csv" > "$workdir/legacy.json" \
-  || fail "legacy single-world survey failed"
+  --shards 1 --threads 1 --csv "$workdir/whole.csv" > "$workdir/whole.json" \
+  || fail "1-shard survey failed"
 "$survey" --scale-denom "$diff_denom" --seed "$seed" --no-pathologies \
   --shards "$shards" --threads "$threads" --csv "$workdir/streamed.csv" \
   > "$workdir/streamed.json" || fail "streaming sharded survey failed"
@@ -84,12 +84,12 @@ echo "scale_smoke: rung 2 — legacy(1-shard) vs streaming($shards-shard) diff,"
 stable_view() {
   tail -n +2 "$1" | cut -d, -f1-12,14-16 | sort
 }
-stable_view "$workdir/legacy.csv" > "$workdir/legacy.stable"
+stable_view "$workdir/whole.csv" > "$workdir/whole.stable"
 stable_view "$workdir/streamed.csv" > "$workdir/streamed.stable"
-cmp -s "$workdir/legacy.stable" "$workdir/streamed.stable" \
-  || { diff "$workdir/legacy.stable" "$workdir/streamed.stable" | head -20 >&2
-       fail "streaming shards diverge from the legacy pipeline"; }
-rows=$(wc -l < "$workdir/legacy.stable")
+cmp -s "$workdir/whole.stable" "$workdir/streamed.stable" \
+  || { diff "$workdir/whole.stable" "$workdir/streamed.stable" | head -20 >&2
+       fail "streaming shards diverge from the 1-shard survey"; }
+rows=$(wc -l < "$workdir/whole.stable")
 [ "$rows" -gt 0 ] || fail "no zones surveyed"
-echo "scale_smoke: $rows zone rows identical across pipelines"
+echo "scale_smoke: $rows zone rows identical across shard counts"
 echo "scale_smoke: PASS"

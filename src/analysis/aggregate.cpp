@@ -236,13 +236,4 @@ std::vector<OperatorRow> top_rows_by_cds(const Survey& survey, std::size_t n) {
   return rows;
 }
 
-std::vector<OperatorRow> SurveyAggregator::top_by_domains(
-    std::size_t n) const {
-  return top_rows_by_domains(survey_, n);
-}
-
-std::vector<OperatorRow> SurveyAggregator::top_by_cds(std::size_t n) const {
-  return top_rows_by_cds(survey_, n);
-}
-
 }  // namespace dnsboot::analysis

@@ -105,9 +105,8 @@ struct Survey {
   void operator+=(const Survey& other);
 };
 
-// Table rows computed from an (already merged) survey. SurveyAggregator's
-// accessors delegate here so shard merges can recompute the tables from the
-// combined operator map.
+// The top-n operator rows of Table 1 (by domains) and Table 2 (by zones
+// with CDS), derived from a survey's operator map, merged or not.
 std::vector<OperatorRow> top_rows_by_domains(const Survey& survey,
                                              std::size_t n);
 std::vector<OperatorRow> top_rows_by_cds(const Survey& survey, std::size_t n);
@@ -116,9 +115,6 @@ class SurveyAggregator {
  public:
   void add(const ZoneReport& report);
   const Survey& survey() const { return survey_; }
-
-  std::vector<OperatorRow> top_by_domains(std::size_t n) const;
-  std::vector<OperatorRow> top_by_cds(std::size_t n) const;
 
  private:
   Survey survey_;

@@ -9,9 +9,8 @@
 //     never on the thread count. Workers pull shard indices from an atomic
 //     counter, but results land in a slot vector indexed by shard and the
 //     merge walks shards 0..S-1 after all workers have joined.
-//   * shards == 1 reproduces the single-world run_survey() pipeline
-//     byte-for-byte: the one world is the whole world, on the spec's own
-//     network seed (ecosystem::build_world).
+//   * shards == 1 is run_survey() on the whole world, on the spec's own
+//     network seed (ecosystem::build_world), byte-for-byte.
 //
 // Streaming-shard contract (§14): the world source returns a world holding
 // ONLY its shard's targets (ecosystem::build_world materializes exactly that
@@ -45,28 +44,15 @@ using ShardWorldSource =
 struct ShardedSurveyOptions {
   SurveyRunOptions run;
   std::size_t shards = 1;
-  std::size_t threads = 1;
+  std::size_t threads = 1;  // clamped to [1, shards]
 };
 
-struct ShardedSurveyResult {
-  // Merged exactly as a single-world SurveyRunResult: survey counters and
-  // maps sum key-wise, reports concatenate in shard order, stats sum,
-  // simulated_duration is the slowest shard (shards run concurrently in
-  // simulated time), and the table rows are recomputed from the merged
-  // operator map.
-  SurveyRunResult merged;
-  // View over merged.metrics (the per-shard network registries were merged
-  // into it), bound by run_sharded_survey after the merge loop. Anyone who
-  // replaces `merged` wholesale must rebind this view — it points into the
-  // registry `merged` owned at bind time.
-  net::FaultStats fault_stats;
-  std::uint64_t events_processed = 0;
-  std::vector<net::SimTime> shard_durations;
-  std::size_t shards = 0;
-  std::size_t threads = 0;
-};
-
-ShardedSurveyResult run_sharded_survey(const ShardWorldSource& source,
-                                       const ShardedSurveyOptions& options);
+// The merged result is what run_survey returns for one world: survey
+// counters and maps sum key-wise, reports concatenate in shard order, the
+// registries merge name-keyed (so the stats views read the totals), and
+// simulated_duration is the slowest shard's (shards run concurrently in
+// simulated time).
+SurveyRunResult run_sharded_survey(const ShardWorldSource& source,
+                                   const ShardedSurveyOptions& options);
 
 }  // namespace dnsboot::analysis

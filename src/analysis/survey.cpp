@@ -7,11 +7,10 @@
 
 namespace dnsboot::analysis {
 
-SurveyRunResult run_survey(
-    net::Transport& network, const resolver::RootHints& hints,
-    const std::vector<dns::Name>& targets,
-    const std::map<std::string, std::string>& ns_domain_to_operator,
-    std::uint32_t now, const SurveyRunOptions& options) {
+SurveyRunResult run_survey(net::Transport& network,
+                           const ecosystem::Ecosystem& eco,
+                           const SurveyRunOptions& options) {
+  const std::vector<dns::Name>& targets = eco.scan_targets;
   SurveyRunResult result;
 
   // Scan phase: collect raw observations.
@@ -23,7 +22,7 @@ SurveyRunResult run_survey(
     scanner_options.tracer = options.tracer;
   }
   resolver::QueryEngine engine(network, scanner_address, engine_options);
-  resolver::DelegationResolver delegation_resolver(engine, hints);
+  resolver::DelegationResolver delegation_resolver(engine, eco.hints);
   scanner::Scanner scanner(network, engine, delegation_resolver,
                            scanner_options);
 
@@ -85,9 +84,10 @@ SurveyRunResult run_survey(
   // Analysis phase: validate + classify offline, as the paper does from its
   // stored DNS messages.
   const net::SimTime analysis_started = network.now();
-  TrustContext trust(scanner.infrastructure(), hints.trust_anchor, now);
+  TrustContext trust(scanner.infrastructure(), eco.hints.trust_anchor,
+                     eco.now);
   OperatorIdentifier operators{
-      std::map<std::string, std::string>(ns_domain_to_operator)};
+      std::map<std::string, std::string>(eco.ns_domain_to_operator)};
   SurveyAggregator aggregator;
   for (const auto& obs : observations) {
     ZoneReport report = analyze_zone(obs, trust, operators);
@@ -95,8 +95,6 @@ SurveyRunResult run_survey(
     if (options.keep_reports) result.reports.push_back(std::move(report));
   }
   result.survey = aggregator.survey();
-  result.top_by_domains = aggregator.top_by_domains(20);
-  result.top_by_cds = aggregator.top_by_cds(20);
   if (options.tracer != nullptr) {
     obs::TraceSpan span;
     span.kind = "phase";

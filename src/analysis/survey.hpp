@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "analysis/aggregate.hpp"
+#include "ecosystem/builder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resolver/query_engine.hpp"
@@ -43,16 +44,14 @@ struct SurveyRunResult {
   net::SimTime simulated_duration = 0;
   std::uint64_t datagrams = 0;
   std::uint64_t bytes_on_wire = 0;
-
-  // Sorted table rows (Tables 1 and 2).
-  std::vector<OperatorRow> top_by_domains;
-  std::vector<OperatorRow> top_by_cds;
 };
 
-SurveyRunResult run_survey(
-    net::Transport& network, const resolver::RootHints& hints,
-    const std::vector<dns::Name>& targets,
-    const std::map<std::string, std::string>& ns_domain_to_operator,
-    std::uint32_t now, const SurveyRunOptions& options = {});
+// Scans eco.scan_targets over `network`, starting from eco.hints, and
+// classifies them at eco.now against eco.ns_domain_to_operator. `network`
+// is the transport that reaches eco's servers: the world's own SimNetwork,
+// or a wire transport to a dnsboot-serve of the same world.
+SurveyRunResult run_survey(net::Transport& network,
+                           const ecosystem::Ecosystem& eco,
+                           const SurveyRunOptions& options = {});
 
 }  // namespace dnsboot::analysis

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "obs/metrics.hpp"
 
@@ -180,26 +179,6 @@ struct DefenseStats {
         accepted_forgeries(
             reg.counter("dnsboot_defense_accepted_forgeries")),
         servers_marked(reg.counter("dnsboot_defense_servers_marked")) {}
-};
-
-// An owned snapshot: copies a component's registry and binds a view over
-// the copy, for call sites where the stats must outlive the component
-// (tests and benches that return stats from a scope that owns the engine).
-// Copyable — copies share the snapshot registry.
-template <typename ViewT>
-class StatsSnapshot {
- public:
-  explicit StatsSnapshot(const MetricsRegistry& source)
-      : registry_(std::make_shared<MetricsRegistry>(source)),
-        view_(*registry_) {}
-
-  const ViewT* operator->() const { return &view_; }
-  const ViewT& operator*() const { return view_; }
-  const MetricsRegistry& registry() const { return *registry_; }
-
- private:
-  std::shared_ptr<MetricsRegistry> registry_;
-  ViewT view_;
 };
 
 }  // namespace dnsboot::obs

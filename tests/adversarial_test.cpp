@@ -71,10 +71,7 @@ AdversarialWorld run_survey_world(const ChaosOptions* chaos) {
   // Fast (simulated time is cheap) but below the adversarial preset's
   // 500 qps per-client defense bucket, like the paper's 50 qps pacing.
   options.engine.per_server_qps = 200;
-  world.result = analysis::run_survey(*world.network, world.eco.hints,
-                                      world.eco.scan_targets,
-                                      world.eco.ns_domain_to_operator,
-                                      world.eco.now, options);
+  world.result = analysis::run_survey(*world.network, world.eco, options);
   return world;
 }
 

@@ -87,10 +87,7 @@ std::unique_ptr<SurveyFixture> run_world(std::vector<OperatorProfile> ops) {
   SurveyRunOptions options;
   options.engine.per_server_qps = 5000;
   options.keep_reports = true;
-  fixture->result = run_survey(fixture->network, fixture->eco.hints,
-                               fixture->eco.scan_targets,
-                               fixture->eco.ns_domain_to_operator,
-                               fixture->eco.now, options);
+  fixture->result = run_survey(fixture->network, fixture->eco, options);
   return fixture;
 }
 
@@ -186,8 +183,7 @@ TEST(SurveyRoundTrip, PathologiesAreDetected) {
       network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
   SurveyRunOptions options;
   options.engine.per_server_qps = 10000;
-  auto result = run_survey(network, eco.hints, eco.scan_targets,
-                           eco.ns_domain_to_operator, eco.now, options);
+  auto result = run_survey(network, eco, options);
   const Survey& s = result.survey;
 
   EXPECT_GT(s.total, 2000u);

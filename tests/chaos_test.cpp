@@ -79,10 +79,7 @@ ChaosWorld run_chaos_survey(const ChaosOptions& chaos, bool adaptive,
   if (adaptive) options.engine = resolver::resilient_query_options();
   options.engine.per_server_qps = 1000;  // keep tests fast
   options.scanner.max_scan_attempts = scan_attempts;
-  world.result = analysis::run_survey(*world.network, world.eco.hints,
-                                      world.eco.scan_targets,
-                                      world.eco.ns_domain_to_operator,
-                                      world.eco.now, options);
+  world.result = analysis::run_survey(*world.network, world.eco, options);
   return world;
 }
 

@@ -222,7 +222,7 @@ TEST(TracerTest, JsonlEscapesAndOneLinePerSpan) {
 constexpr double kScale = 1.0 / 2000000;
 constexpr std::uint64_t kSeed = 11;
 
-analysis::ShardedSurveyResult run_sharded(std::size_t threads) {
+analysis::SurveyRunResult run_sharded(std::size_t threads) {
   const ecosystem::WorldSpec spec = ecosystem::seeded_spec(kSeed, kScale);
   const ecosystem::EcosystemPlan plan =
       ecosystem::make_ecosystem_plan(spec.config);
@@ -239,23 +239,22 @@ analysis::ShardedSurveyResult run_sharded(std::size_t threads) {
 TEST(ObsDeterminismTest, MetricsJsonIsThreadCountInvariant) {
   auto one = run_sharded(1);
   auto eight = run_sharded(8);
-  ASSERT_GT(one.merged.survey.total, 0u);
+  ASSERT_GT(one.survey.total, 0u);
 
-  const std::string json_one = one.merged.metrics->to_json();
-  EXPECT_EQ(json_one, eight.merged.metrics->to_json());
-  EXPECT_EQ(one.merged.metrics->to_prometheus(),
-            eight.merged.metrics->to_prometheus());
+  const std::string json_one = one.metrics->to_json();
+  EXPECT_EQ(json_one, eight.metrics->to_json());
+  EXPECT_EQ(one.metrics->to_prometheus(), eight.metrics->to_prometheus());
 
   // The merged registry is the single source the stats views read.
-  EXPECT_EQ(one.merged.engine_stats.sends,
-            one.merged.metrics->counter_value("dnsboot_engine_sends"));
-  EXPECT_GE(one.merged.metrics->counter_value("dnsboot_engine_sends"),
-            one.merged.metrics->counter_value("dnsboot_engine_responses"));
+  EXPECT_EQ(one.engine_stats.sends,
+            one.metrics->counter_value("dnsboot_engine_sends"));
+  EXPECT_GE(one.metrics->counter_value("dnsboot_engine_sends"),
+            one.metrics->counter_value("dnsboot_engine_responses"));
   const obs::Histogram* rtt =
-      one.merged.metrics->find_histogram("dnsboot_engine_rtt_usec");
+      one.metrics->find_histogram("dnsboot_engine_rtt_usec");
   ASSERT_NE(rtt, nullptr);
   EXPECT_EQ(rtt->count(),
-            one.merged.metrics->counter_value("dnsboot_engine_responses"));
+            one.metrics->counter_value("dnsboot_engine_responses"));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Determinism tests for the sharded survey executor (DESIGN.md §9): the
 // merged report must be byte-identical for every thread count, one shard
-// must reproduce the legacy single-world pipeline exactly, and shard
+// must reproduce run_survey on the whole world exactly, and shard
 // assignment must partition the population.
 #include <gtest/gtest.h>
 
@@ -44,9 +44,8 @@ analysis::SurveyRunOptions run_options(bool chaos) {
   return options;
 }
 
-analysis::ShardedSurveyResult run_sharded(std::size_t shards,
-                                          std::size_t threads,
-                                          const std::string& chaos = "off") {
+analysis::SurveyRunResult run_sharded(std::size_t shards, std::size_t threads,
+                                      const std::string& chaos = "off") {
   analysis::ShardedSurveyOptions options;
   options.run = run_options(chaos != "off");
   options.shards = shards;
@@ -57,19 +56,15 @@ analysis::ShardedSurveyResult run_sharded(std::size_t shards,
 TEST(ParallelSurveyTest, SingleShardReproducesLegacyPipelineByteForByte) {
   // The single-world pipeline, exactly as run_survey callers drive it.
   const ecosystem::World world = ecosystem::build_world(world_spec());
-  const ecosystem::Ecosystem& eco = world.eco;
-  auto legacy =
-      analysis::run_survey(*world.network, eco.hints, eco.scan_targets,
-                           eco.ns_domain_to_operator, eco.now,
-                           run_options(false));
+  auto single =
+      analysis::run_survey(*world.network, world.eco, run_options(false));
 
   auto sharded = run_sharded(/*shards=*/1, /*threads=*/1);
-  EXPECT_EQ(sharded.shards, 1u);
-  EXPECT_GT(legacy.survey.total, 0u);
-  EXPECT_EQ(analysis::survey_to_json(legacy),
-            analysis::survey_to_json(sharded.merged));
-  EXPECT_EQ(analysis::reports_to_csv(legacy.reports),
-            analysis::reports_to_csv(sharded.merged.reports));
+  EXPECT_GT(single.survey.total, 0u);
+  EXPECT_EQ(analysis::survey_to_json(single),
+            analysis::survey_to_json(sharded));
+  EXPECT_EQ(analysis::reports_to_csv(single.reports),
+            analysis::reports_to_csv(sharded.reports));
 }
 
 TEST(ParallelSurveyTest, MergedReportIsThreadCountInvariant) {
@@ -77,30 +72,29 @@ TEST(ParallelSurveyTest, MergedReportIsThreadCountInvariant) {
   auto two = run_sharded(/*shards=*/8, /*threads=*/2);
   auto eight = run_sharded(/*shards=*/8, /*threads=*/8);
 
-  const std::string baseline = analysis::survey_to_json(one.merged);
-  EXPECT_GT(one.merged.survey.total, 0u);
-  EXPECT_EQ(baseline, analysis::survey_to_json(two.merged));
-  EXPECT_EQ(baseline, analysis::survey_to_json(eight.merged));
+  const std::string baseline = analysis::survey_to_json(one);
+  EXPECT_GT(one.survey.total, 0u);
+  EXPECT_EQ(baseline, analysis::survey_to_json(two));
+  EXPECT_EQ(baseline, analysis::survey_to_json(eight));
 
   // Per-zone reports concatenate in shard order: byte-identical CSVs.
-  const std::string csv = analysis::reports_to_csv(one.merged.reports);
+  const std::string csv = analysis::reports_to_csv(one.reports);
   EXPECT_FALSE(csv.empty());
-  EXPECT_EQ(csv, analysis::reports_to_csv(two.merged.reports));
-  EXPECT_EQ(csv, analysis::reports_to_csv(eight.merged.reports));
+  EXPECT_EQ(csv, analysis::reports_to_csv(two.reports));
+  EXPECT_EQ(csv, analysis::reports_to_csv(eight.reports));
 
   // Per-class aggregate counts, spelled out (the JSON identity already
   // implies them; these keep the failure message readable).
   for (const auto* r : {&two, &eight}) {
-    EXPECT_EQ(one.merged.survey.scan_complete, r->merged.survey.scan_complete);
-    EXPECT_EQ(one.merged.survey.scan_degraded, r->merged.survey.scan_degraded);
-    EXPECT_EQ(one.merged.survey.secured, r->merged.survey.secured);
-    EXPECT_EQ(one.merged.survey.unsigned_zones,
-              r->merged.survey.unsigned_zones);
-    EXPECT_EQ(one.merged.engine_stats.queries, r->merged.engine_stats.queries);
-    EXPECT_EQ(one.merged.scanner_stats.zones_scanned,
-              r->merged.scanner_stats.zones_scanned);
-    EXPECT_EQ(one.events_processed, r->events_processed);
-    EXPECT_EQ(one.shard_durations, r->shard_durations);
+    EXPECT_EQ(one.survey.scan_complete, r->survey.scan_complete);
+    EXPECT_EQ(one.survey.scan_degraded, r->survey.scan_degraded);
+    EXPECT_EQ(one.survey.secured, r->survey.secured);
+    EXPECT_EQ(one.survey.unsigned_zones, r->survey.unsigned_zones);
+    EXPECT_EQ(one.engine_stats.queries, r->engine_stats.queries);
+    EXPECT_EQ(one.scanner_stats.zones_scanned, r->scanner_stats.zones_scanned);
+    EXPECT_EQ(one.metrics->counter_value("dnsboot_net_events"),
+              r->metrics->counter_value("dnsboot_net_events"));
+    EXPECT_EQ(one.simulated_duration, r->simulated_duration);
   }
 }
 
@@ -108,13 +102,12 @@ TEST(ParallelSurveyTest, HostileChaosMergesDeterministically) {
   auto one = run_sharded(/*shards=*/8, /*threads=*/1, "hostile");
   auto eight = run_sharded(/*shards=*/8, /*threads=*/8, "hostile");
 
-  EXPECT_EQ(analysis::survey_to_json(one.merged),
-            analysis::survey_to_json(eight.merged));
+  EXPECT_EQ(analysis::survey_to_json(one), analysis::survey_to_json(eight));
 
   // Fault-class counters live outside the JSON report; they must merge
   // deterministically too, and a hostile world must actually exercise them.
-  const net::FaultStats& a = one.fault_stats;
-  const net::FaultStats& b = eight.fault_stats;
+  const net::FaultStats a(*one.metrics);
+  const net::FaultStats b(*eight.metrics);
   EXPECT_EQ(a.blackholed, b.blackholed);
   EXPECT_EQ(a.flap_dropped, b.flap_dropped);
   EXPECT_EQ(a.burst_dropped, b.burst_dropped);

@@ -34,8 +34,7 @@ SurveyRunResult run_small_survey() {
       network, config, ecosystem::make_ecosystem_plan(config), 0, 1);
   SurveyRunOptions options;
   options.keep_reports = true;
-  return run_survey(network, eco.hints, eco.scan_targets,
-                    eco.ns_domain_to_operator, eco.now, options);
+  return run_survey(network, eco, options);
 }
 
 // Minimal well-formedness check: balanced braces/quotes outside strings.

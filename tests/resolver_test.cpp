@@ -436,16 +436,18 @@ TEST(QueryEngine, AdaptivePolicyWastesFewerSendsThanFixedRetries) {
     }
     fx.network.run();
     EXPECT_EQ(done, 60);
-    // The engine dies with this scope; snapshot its registry so the stats
-    // survive (a bare stats() copy would be a dangling view).
-    return obs::StatsSnapshot<QueryEngineStats>(engine.metrics());
+    // The engine dies with this scope; return a copy of its registry (a
+    // bare stats() copy would be a dangling view).
+    return engine.metrics();
   };
-  auto fixed = run_policy(false);
-  auto adaptive = run_policy(true);
-  EXPECT_LT(adaptive->wasted_sends(), fixed->wasted_sends());
-  EXPECT_GT(adaptive->fail_fast, 0u);
+  obs::MetricsRegistry fixed_metrics = run_policy(false);
+  obs::MetricsRegistry adaptive_metrics = run_policy(true);
+  const QueryEngineStats fixed(fixed_metrics);
+  const QueryEngineStats adaptive(adaptive_metrics);
+  EXPECT_LT(adaptive.wasted_sends(), fixed.wasted_sends());
+  EXPECT_GT(adaptive.fail_fast, 0u);
   // Both policies answered every live-server query.
-  EXPECT_EQ(adaptive->responses, fixed->responses);
+  EXPECT_EQ(adaptive.responses, fixed.responses);
 }
 
 TEST(QueryEngine, IdExhaustionReportsOverload) {

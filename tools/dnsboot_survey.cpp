@@ -15,9 +15,10 @@
 // and the scan switches to the resilient policy: adaptive timeouts, jittered
 // backoff, per-server circuit breakers, and an end-of-scan requeue pass.
 //
-// With --threads N the zone population is split into shards (default 8, or
-// --shards) and scanned by N workers, each in its own simulated world; the
-// merged report is identical for every thread count (DESIGN.md §9).
+// With --shards S the zone population is split into S shards, each scanned
+// in its own simulated world, and --threads N (at most S) workers scan them.
+// The shard count is part of the workload and changes the report; the
+// thread count never does (DESIGN.md §9).
 //
 // With --wire HOST:PORT the scan leaves the simulator entirely and runs
 // over real UDP/TCP sockets against a dnsboot-serve process started with
@@ -58,7 +59,7 @@ struct CliOptions {
   std::uint64_t chaos_seed = 0xc4a05;
   int scan_attempts = 0;  // 0 = derived from the chaos preset
   std::size_t threads = 1;
-  std::size_t shards = 0;  // 0 = auto: 1 single-threaded, else 8
+  std::size_t shards = 1;
   std::string bench_json_path;
   std::string wire;  // HOST:PORT of a dnsboot-serve base endpoint
   double qps = 0;    // 0 = engine default (the paper's 50 qps per NS)
@@ -94,9 +95,12 @@ cli::FlagParser make_parser(CliOptions* options) {
   parser.value("--chaos-seed", &options->chaos_seed, "fault schedule seed");
   parser.value("--scan-attempts", &options->scan_attempts,
                "scan passes per zone", 1);
-  parser.value("--threads", &options->threads, "scan worker threads", 1);
+  parser.value("--threads", &options->threads,
+               "scan worker threads (at most --shards)", 1);
   parser.value("--shards", &options->shards,
-               "zone shards (default: 1, or 8 with --threads)", 1);
+               "zone shards (default 1; changes the report, --threads "
+               "never does)",
+               1);
   parser.value("--bench-json", &options->bench_json_path, "FILE",
                "write throughput metrics as bench JSON");
   parser.value("--wire", &options->wire, "HOST:PORT",
@@ -137,9 +141,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (options.threads > options.shards) {
+    std::fprintf(stderr,
+                 "--threads %zu exceeds --shards %zu: a worker scans whole "
+                 "shards, so pass --shards N with N >= --threads\n",
+                 options.threads, options.shards);
+    return 2;
+  }
+
   const bool chaos = options.chaos != "off";
-  const std::size_t shards =
-      options.shards != 0 ? options.shards : (options.threads > 1 ? 8 : 1);
 
   ecosystem::WorldSpec spec =
       ecosystem::seeded_spec(options.seed, 1.0 / options.scale_denom);
@@ -155,7 +165,7 @@ int main(int argc, char** argv) {
   // one shard the lint/wire population); it is handed to the executor
   // instead of being rebuilt. Its chaos plan is every shard's.
   ecosystem::World first_world =
-      ecosystem::build_world(spec, eco_plan, 0, shards);
+      ecosystem::build_world(spec, eco_plan, 0, options.shards);
   if (!options.output.quiet) {
     std::printf("dnsboot-survey: %llu zones (scale 1/%.0f, seed %llu)\n",
                 static_cast<unsigned long long>(eco_plan.zones_total),
@@ -188,7 +198,9 @@ int main(int argc, char** argv) {
     // builds a throwaway whole world (full-world memory profile — lint is an
     // explicit opt-in diagnostic).
     std::optional<ecosystem::World> whole_world;
-    if (shards > 1) whole_world = ecosystem::build_world(spec, eco_plan, 0, 1);
+    if (options.shards > 1) {
+      whole_world = ecosystem::build_world(spec, eco_plan, 0, 1);
+    }
     const ecosystem::World& lint_world =
         whole_world.has_value() ? *whole_world : first_world;
     const ecosystem::Ecosystem& lint_eco = lint_world.eco;
@@ -239,19 +251,22 @@ int main(int argc, char** argv) {
 
   analysis::ShardedSurveyOptions sharded_options;
   sharded_options.run = run_options;
-  sharded_options.shards = shards;
+  sharded_options.shards = options.shards;
   sharded_options.threads = options.threads;
   analysis::ShardWorldSource source = [&](std::size_t shard) {
     // Shard 0 reuses the preflight world; only one worker ever receives
     // shard 0, so the move is safe.
     if (shard == 0) return std::move(first_world);
-    return ecosystem::build_world(spec, eco_plan, shard, shards);
+    return ecosystem::build_world(spec, eco_plan, shard, options.shards);
   };
 
-  analysis::ShardedSurveyResult sharded;
+  analysis::SurveyRunResult result;
+  // Simulator events, or datagrams delivered over the wire.
+  std::uint64_t events = 0;
   const auto wall_start = std::chrono::steady_clock::now();
   if (!wire_base.has_value()) {
-    sharded = analysis::run_sharded_survey(source, sharded_options);
+    result = analysis::run_sharded_survey(source, sharded_options);
+    events = result.metrics->counter_value("dnsboot_net_events");
   } else {
     // Real-socket scan: derive the same virtual→real map dnsboot-serve
     // derived from this seed, then run the identical pipeline over a wire
@@ -270,21 +285,13 @@ int main(int argc, char** argv) {
       }
     }
     net::WireTransport transport(map);
-    const ecosystem::Ecosystem& eco = first_world.eco;
-    sharded.merged =
-        analysis::run_survey(transport, eco.hints, eco.scan_targets,
-                             eco.ns_domain_to_operator, eco.now, run_options);
-    // `merged` was replaced wholesale, so the fault view must be rebound to
-    // the registry the new result owns (see ShardedSurveyResult).
-    sharded.fault_stats = net::FaultStats(*sharded.merged.metrics);
-    sharded.shards = 1;
-    sharded.threads = 1;
-    sharded.events_processed = transport.datagrams_delivered();
+    result = analysis::run_survey(transport, first_world.eco, run_options);
+    events = transport.datagrams_delivered();
     if (!transport.error().empty()) {
       std::fprintf(stderr, "wire transport: %s\n", transport.error().c_str());
       return 1;
     }
-    if (sharded.merged.engine_stats.responses == 0) {
+    if (result.engine_stats.responses == 0) {
       std::fprintf(stderr,
                    "no responses over the wire — is dnsboot-serve running at "
                    "%s with the same --seed and --scale-denom?\n",
@@ -294,7 +301,6 @@ int main(int argc, char** argv) {
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - wall_start)
                              .count();
-  analysis::SurveyRunResult& result = sharded.merged;
 
   if (!options.output.quiet) {
     const analysis::Survey& s = result.survey;
@@ -366,7 +372,7 @@ int main(int argc, char** argv) {
       std::printf(
           "%zu shard(s) on %zu thread(s): wall %.2f s, %.1f zones/s, "
           "simulated %.0f s (%.0fx wall)\n",
-          sharded.shards, sharded.threads, wall_sec, zones_per_sec,
+          options.shards, options.threads, wall_sec, zones_per_sec,
           simulated_sec, wall_sec > 0 ? simulated_sec / wall_sec : 0.0);
     }
     // Volume lives here (and in --bench-json), not in the JSON report,
@@ -379,8 +385,8 @@ int main(int argc, char** argv) {
   if (!options.bench_json_path.empty()) {
     const double wall_sec = wall_ms / 1000.0;
     bench::BenchJson bench_json("survey");
-    bench_json.add("threads", static_cast<std::uint64_t>(sharded.threads))
-        .add("shards", static_cast<std::uint64_t>(sharded.shards))
+    bench_json.add("threads", static_cast<std::uint64_t>(options.threads))
+        .add("shards", static_cast<std::uint64_t>(options.shards))
         .add("seed", options.seed)
         .add("scale_denom", options.scale_denom)
         .add("chaos", options.chaos)
@@ -395,7 +401,7 @@ int main(int argc, char** argv) {
                  : 0.0)
         .add("events_per_sec",
              wall_sec > 0
-                 ? static_cast<double>(sharded.events_processed) / wall_sec
+                 ? static_cast<double>(events) / wall_sec
                  : 0.0)
         .add("queries", result.engine_stats.queries)
         .add("simulated_sec",
