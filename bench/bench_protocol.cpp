@@ -85,6 +85,103 @@ void BM_MessageDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageDecode);
 
+dns::ResourceRecord rrsig_over(const dns::Name& owner, dns::RRType covered,
+                               std::uint8_t labels, Rng& rng) {
+  dns::RrsigRdata rrsig;
+  rrsig.type_covered = covered;
+  rrsig.algorithm = 15;
+  rrsig.labels = labels;
+  rrsig.original_ttl = 3600;
+  rrsig.expiration = 100000000;
+  rrsig.inception = 1000;
+  rrsig.key_tag = static_cast<std::uint16_t>(rng.next_u64());
+  rrsig.signer_name = name_of("example.com.");
+  rrsig.signature = rng.bytes(64);
+  return dns::ResourceRecord{owner, dns::RRType::kRRSIG, dns::RRClass::kIN,
+                             3600, rrsig};
+}
+
+// The apex DNSKEY answer the scanner asks every nameserver for: a KSK and a
+// ZSK, each signing the set (the KASP double-signature shape).
+dns::Message signed_dnskey_response() {
+  Rng rng(6);
+  const dns::Name apex = name_of("example.com.");
+  dns::Message r = dns::Message::make_response(
+      dns::Message::make_query(1, apex, dns::RRType::kDNSKEY));
+  r.header.aa = true;
+  for (std::uint16_t flags : {std::uint16_t{257}, std::uint16_t{256}}) {
+    r.answers.push_back(dns::ResourceRecord{
+        apex, dns::RRType::kDNSKEY, dns::RRClass::kIN, 3600,
+        dns::DnskeyRdata{flags, 3, 15, rng.bytes(32)}});
+  }
+  for (int i = 0; i < 2; ++i) {
+    r.answers.push_back(rrsig_over(apex, dns::RRType::kDNSKEY, 2, rng));
+  }
+  return r;
+}
+
+// A signed NXDOMAIN under NSEC3: the SOA and the three RFC 5155 §7.2.2
+// proof records (closest encloser, next closer, wildcard), each signed.
+dns::Message nsec3_nxdomain_response() {
+  Rng rng(7);
+  const dns::Name apex = name_of("example.com.");
+  dns::Message r = dns::Message::make_response(dns::Message::make_query(
+      1, name_of("_dsboot.example.org._signal.ns1.example.com."),
+      dns::RRType::kCDS));
+  r.header.aa = true;
+  r.header.rcode = dns::Rcode::kNxDomain;
+  r.authorities.push_back(dns::ResourceRecord{
+      apex, dns::RRType::kSOA, dns::RRClass::kIN, 300,
+      dns::SoaRdata{name_of("ns1.example.com."),
+                    name_of("hostmaster.example.com."), 1, 7200, 3600,
+                    1209600, 300}});
+  r.authorities.push_back(rrsig_over(apex, dns::RRType::kSOA, 2, rng));
+  const char* hashes[] = {"0p9mhaveqvm6t7vbl5lop2u3t2rp3tom",
+                          "35mthgpgcu1qg68fab165klnsnk3dpvl",
+                          "b4um86eghhds6nea196smvmlo4ors995"};
+  for (const char* hash : hashes) {
+    const dns::Name owner = name_of((std::string(hash) + ".example.com.").c_str());
+    dns::Nsec3Rdata nsec3;
+    nsec3.next_hashed_owner = rng.bytes(20);
+    nsec3.types = dns::TypeBitmap({dns::RRType::kNS, dns::RRType::kSOA,
+                                   dns::RRType::kRRSIG, dns::RRType::kDNSKEY,
+                                   dns::RRType::kNSEC3PARAM});
+    r.authorities.push_back(dns::ResourceRecord{
+        owner, dns::RRType::kNSEC3, dns::RRClass::kIN, 300, nsec3});
+    r.authorities.push_back(rrsig_over(owner, dns::RRType::kNSEC3, 3, rng));
+  }
+  return r;
+}
+
+void BM_SignedDnskeyDecode(benchmark::State& state) {
+  Bytes wire = signed_dnskey_response().encode();
+  for (auto _ : state) {
+    auto m = dns::Message::decode(wire);
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK(BM_SignedDnskeyDecode);
+
+void BM_Nsec3NxdomainDecode(benchmark::State& state) {
+  Bytes wire = nsec3_nxdomain_response().encode();
+  for (auto _ : state) {
+    auto m = dns::Message::decode(wire);
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK(BM_Nsec3NxdomainDecode);
+
+// The query engine's send: one question plus an OPT with the DO bit.
+void BM_QueryEncode(benchmark::State& state) {
+  const dns::Name qname =
+      name_of("_dsboot.example.org._signal.ns1.example.com.");
+  std::uint16_t id = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::encode_query(++id, qname, dns::RRType::kCDS));
+  }
+}
+BENCHMARK(BM_QueryEncode);
+
 void BM_Sha256_1k(benchmark::State& state) {
   Rng rng(1);
   Bytes data = rng.bytes(1024);

@@ -34,16 +34,20 @@ Result<std::uint32_t> ByteReader::u32() {
   return v;
 }
 
-Result<Bytes> ByteReader::bytes(std::size_t n) {
+Result<BytesView> ByteReader::view(std::size_t n) {
   if (remaining() < n) {
     return Error{"wire.truncated",
                  "need " + std::to_string(n) + " bytes, have " +
                      std::to_string(remaining())};
   }
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  BytesView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
+}
+
+Result<Bytes> ByteReader::bytes(std::size_t n) {
+  DNSBOOT_TRY(borrowed, view(n));
+  return Bytes(borrowed.begin(), borrowed.end());
 }
 
 void ByteWriter::u16(std::uint16_t v) {

@@ -33,6 +33,11 @@ class ByteReader {
   Result<std::uint8_t> u8();
   Result<std::uint16_t> u16();
   Result<std::uint32_t> u32();
+  // Borrow the next `n` bytes without copying them. The view aliases the
+  // reader's buffer: use it before that buffer goes away, and copy what
+  // must outlive it.
+  Result<BytesView> view(std::size_t n);
+  // Copy the next `n` bytes into a buffer of their own.
   Result<Bytes> bytes(std::size_t n);
 
  private:

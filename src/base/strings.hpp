@@ -2,6 +2,8 @@
 // done with an explicit ASCII table rather than locale-dependent tolower.
 #pragma once
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,27 @@ constexpr bool ascii_iequals(std::string_view a, std::string_view b) {
   return true;
 }
 bool starts_with(std::string_view s, std::string_view prefix);
+
+// Multiply-xorshift hash of a short byte string, eight bytes per step, for
+// in-memory tables (DNS names, the name compressor's suffixes). It reads
+// words in host byte order, so its values must never reach output or
+// order anything.
+inline std::uint64_t hash_short(std::string_view bytes) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = bytes.size();
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = (h ^ word) * kMul;
+    h ^= h >> 29;
+  }
+  std::uint64_t tail = 0;
+  if (n > 0) std::memcpy(&tail, p, n);
+  h = (h ^ tail) * kMul;
+  return h ^ (h >> 32);
+}
 
 // Split on a single delimiter; empty fields preserved.
 std::vector<std::string> split(std::string_view s, char delim);

@@ -1,32 +1,43 @@
 #include "dns/message.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <string_view>
-#include <unordered_map>
+
+#include "base/strings.hpp"
 
 namespace dnsboot::dns {
 namespace {
 
-// Compression context: canonical suffix text -> message offset. Keys are
-// views into the names' cached canonical strings (every suffix of a name's
-// canonical text starting at a label boundary is the suffix name's
-// canonical text), so building the table allocates nothing per label. The
+// Compression context: canonical suffix text -> message offset, in a flat
+// open-addressed table. Keys are views into the names' cached canonical
+// strings (every suffix of a name's canonical text starting at a label
+// boundary is the suffix name's canonical text), so building the table
+// allocates nothing per label. The table starts inline; a message with more
+// distinct suffixes than half its slots moves it to the heap, doubling as
+// needed. The first offset recorded for a suffix wins, and nothing is
+// recorded at offsets of 0x3fff or more (out of a pointer's reach). The
 // names must outlive the compressor — they are members of the Message being
 // encoded.
 class NameCompressor {
  public:
+  NameCompressor() = default;
+  NameCompressor(const NameCompressor&) = delete;
+  NameCompressor& operator=(const NameCompressor&) = delete;
+
   void encode(const Name& name, ByteWriter& writer) {
     const std::string& canon = name.canonical_text();
     std::size_t canon_pos = 0;
     for (std::string_view label : name.labels()) {
       std::string_view key(canon.data() + canon_pos, canon.size() - canon_pos);
-      auto it = offsets_.find(key);
-      if (it != offsets_.end()) {
-        writer.u16(static_cast<std::uint16_t>(0xc000 | it->second));
+      const auto hash = static_cast<std::uint32_t>(hash_short(key));
+      Slot* slot = probe(key, hash);
+      if (slot->key != nullptr) {
+        writer.u16(static_cast<std::uint16_t>(0xc000 | slot->offset));
         return;
       }
       if (writer.size() < 0x3fff) {
-        offsets_.emplace(key, static_cast<std::uint16_t>(writer.size()));
+        record(slot, key, hash, static_cast<std::uint16_t>(writer.size()));
       }
       writer.u8(static_cast<std::uint8_t>(label.size()));
       writer.raw(label);
@@ -36,7 +47,60 @@ class NameCompressor {
   }
 
  private:
-  std::unordered_map<std::string_view, std::uint16_t> offsets_;
+  static constexpr std::size_t kInlineSlots = 32;
+
+  struct Slot {
+    const char* key = nullptr;  // null: empty slot
+    std::uint32_t hash = 0;
+    std::uint16_t length = 0;
+    std::uint16_t offset = 0;
+  };
+
+  // The slot holding `key`, or the empty slot where it would go.
+  Slot* probe(std::string_view key, std::uint32_t hash) {
+    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.key == nullptr ||
+          (slot.hash == hash && slot.length == key.size() &&
+           std::memcmp(slot.key, key.data(), key.size()) == 0)) {
+        return &slot;
+      }
+    }
+  }
+
+  // Fill `empty` (probe's answer for an absent key), keeping the table at
+  // most half full.
+  void record(Slot* empty, std::string_view key, std::uint32_t hash,
+              std::uint16_t offset) {
+    if (2 * (used_ + 1) > mask_ + 1) {
+      grow();
+      empty = probe(key, hash);
+    }
+    *empty = Slot{key.data(), hash, static_cast<std::uint16_t>(key.size()),
+                  offset};
+    ++used_;
+  }
+
+  void grow() {
+    std::vector<Slot> bigger(2 * (mask_ + 1));
+    const std::size_t mask = bigger.size() - 1;
+    for (std::size_t i = 0; i <= mask_; ++i) {
+      const Slot& slot = slots_[i];
+      if (slot.key == nullptr) continue;
+      std::size_t j = slot.hash & mask;
+      while (bigger[j].key != nullptr) j = (j + 1) & mask;
+      bigger[j] = slot;
+    }
+    heap_ = std::move(bigger);
+    slots_ = heap_.data();
+    mask_ = mask;
+  }
+
+  Slot inline_[kInlineSlots];
+  std::vector<Slot> heap_;
+  Slot* slots_ = inline_;
+  std::size_t mask_ = kInlineSlots - 1;
+  std::size_t used_ = 0;
 };
 
 void encode_record(const ResourceRecord& rr, ByteWriter& writer,
@@ -83,6 +147,31 @@ Message Message::make_query(std::uint16_t id, const Name& name, RRType type,
   m.questions.push_back(Question{name, type, RRClass::kIN});
   m.add_edns(4096, dnssec_ok);
   return m;
+}
+
+Bytes encode_query(std::uint16_t id, const Name& qname, RRType qtype,
+                   bool dnssec_ok) {
+  // Header, question and an empty OPT: 12 + name + 4 + 11 octets. The bytes
+  // are make_query(...).encode()'s: a lone question name has no earlier
+  // suffix to point at, so the compressor writes it whole, and the OPT
+  // owner is the root.
+  ByteWriter w;
+  w.reserve(12 + qname.wire_length() + 4 + 11);
+  w.u16(id);
+  w.u16(0);  // flags: a query, no recursion desired
+  w.u16(1);  // QDCOUNT
+  w.u16(0);  // ANCOUNT
+  w.u16(0);  // NSCOUNT
+  w.u16(1);  // ARCOUNT: the OPT
+  qname.encode(w);
+  w.u16(static_cast<std::uint16_t>(qtype));
+  w.u16(static_cast<std::uint16_t>(RRClass::kIN));
+  w.u8(0);  // OPT owner: root
+  w.u16(static_cast<std::uint16_t>(RRType::kOPT));
+  w.u16(4096);  // CLASS: advertised UDP payload size
+  w.u32(dnssec_ok ? 0x00008000u : 0);  // TTL: extended rcode, flags (DO)
+  w.u16(0);  // RDLENGTH: no options
+  return w.take();
 }
 
 Message Message::make_response(const Message& query) {

@@ -65,4 +65,10 @@ struct Message {
   static Result<Message> decode(BytesView wire);
 };
 
+// The wire bytes of make_query(id, qname, qtype, dnssec_ok).encode(),
+// written straight into one exactly-sized buffer: the query engine's send
+// path builds no Message and no compression table.
+Bytes encode_query(std::uint16_t id, const Name& qname, RRType qtype,
+                   bool dnssec_ok = true);
+
 }  // namespace dnsboot::dns

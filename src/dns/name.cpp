@@ -1,6 +1,7 @@
 #include "dns/name.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "base/strings.hpp"
 
@@ -161,9 +162,10 @@ Result<Name> Name::from_labels(std::vector<std::string> labels) {
 }
 
 Result<Name> Name::decode(ByteReader& reader) {
-  // Small stack buffer: virtually every name fits 255 octets by definition,
-  // so the flat spelling is assembled without heap allocation, then interned
-  // (a hash hit for any name seen before).
+  // Small stack buffer: every name fits 255 octets by definition, so the
+  // flat spelling is assembled from labels borrowed straight out of the
+  // message, with no heap allocation, then interned (a table hit for any
+  // name seen before).
   char flat_buf[kMaxNameWireLength];
   std::size_t flat_len = 0;
   std::size_t count = 0;
@@ -176,18 +178,22 @@ Result<Name> Name::decode(ByteReader& reader) {
   while (true) {
     DNSBOOT_TRY(len, reader.u8());
     if ((len & 0xc0) == 0xc0) {
-      // Compression pointer (RFC 1035 §4.1.4).
+      // Compression pointer (RFC 1035 §4.1.4): it names a prior occurrence,
+      // so its target must lie before the pointer itself. Every hop then
+      // moves backwards and no chain of pointers can loop; the hop cap
+      // still bounds long backward chains.
       DNSBOOT_TRY(low, reader.u8());
       std::size_t target = static_cast<std::size_t>(len & 0x3f) << 8 | low;
+      if (target >= reader.offset() - 2) {
+        return Error{"name.bad_pointer",
+                     "compression pointer does not point backwards"};
+      }
       if (!jumped) {
         resume_at = reader.offset();
         jumped = true;
       }
       if (++hops > 32) {
         return Error{"name.pointer_loop", "too many compression pointers"};
-      }
-      if (target >= reader.offset() - 2 && !jumped) {
-        return Error{"name.bad_pointer", "forward compression pointer"};
       }
       DNSBOOT_CHECK(reader.seek(target));
       continue;
@@ -201,9 +207,9 @@ Result<Name> Name::decode(ByteReader& reader) {
     if (wire_len > kMaxNameWireLength) {
       return Error{"name.too_long", "decoded name exceeds 255 octets"};
     }
-    DNSBOOT_TRY(raw, reader.bytes(len));
+    DNSBOOT_TRY(label, reader.view(len));
     flat_buf[flat_len++] = static_cast<char>(len);
-    std::copy(raw.begin(), raw.end(), flat_buf + flat_len);
+    std::memcpy(flat_buf + flat_len, label.data(), len);
     flat_len += len;
     ++count;
   }

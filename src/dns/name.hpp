@@ -11,8 +11,9 @@
 // canonical order key whose memcmp order equals RFC 4034 §6.1 order. Copying
 // a Name copies one uint32_t; equality is a pointer compare; ordering is a
 // memcmp; canonical_text() returns a reference that stays valid for the
-// whole process. Decoding a name the process has seen before is a single
-// hash-table hit with no canonicalization work.
+// whole process. Decoding a name this thread has seen before borrows its
+// labels from the message and finds its id in a per-thread table with one
+// byte compare: no allocation, no lock, no canonicalization work.
 #pragma once
 
 #include <compare>
@@ -118,7 +119,8 @@ class Name {
   static Result<Name> from_labels(std::vector<std::string> labels);
 
   // Decode from wire format at the reader's cursor, following compression
-  // pointers within reader.whole_buffer(). The cursor ends just past the
+  // pointers within reader.whole_buffer(). A pointer must point before
+  // itself ("name.bad_pointer" otherwise). The cursor ends just past the
   // name's first pointer (or its root byte if uncompressed).
   static Result<Name> decode(ByteReader& reader);
 

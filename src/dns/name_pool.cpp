@@ -1,7 +1,10 @@
 #include "dns/name_pool.hpp"
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 
 #include "obs/metrics.hpp"
 
@@ -11,14 +14,34 @@
 namespace dnsboot::dns {
 namespace {
 
-std::size_t shard_of(std::string_view flat) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : flat) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  // Top bits: decorrelated from the low bits std::unordered_map consumes.
-  return static_cast<std::size_t>(h >> 58);
+// Top bits: decorrelated from the low bits std::unordered_map consumes and
+// from the low bits that index the per-thread table.
+std::size_t shard_of(std::uint64_t hash) {
+  return static_cast<std::size_t>(hash >> 58);
+}
+
+// Per-thread re-intern table: direct-mapped on the low bits of the
+// spelling's hash_short, each slot the arena bytes and id of the last
+// spelling this thread interned there. A hit is a length check and a
+// memcmp against bytes that never move, with no lock and no std::hash; a
+// collision just overwrites the slot. It maps spellings to ids and never
+// orders or hashes by id, so it cannot leak id numbering into output.
+struct RecentSpellings {
+  static constexpr std::size_t kSlots = 4096;  // 64 KiB per thread
+  struct Slot {
+    const char* flat = nullptr;  // arena bytes of an interned spelling
+    std::uint32_t id = 0;
+    std::uint32_t size = 0;
+  };
+  std::array<Slot, kSlots> slots{};
+};
+
+// Allocated on a thread's first intern, so threads that never decode a name
+// hold no table; freed when the thread exits.
+RecentSpellings& recent_spellings() {
+  thread_local const std::unique_ptr<RecentSpellings> recent =
+      std::make_unique<RecentSpellings>();
+  return *recent;
 }
 
 // Lowercase the label bytes of a flat spelling. Length prefixes are <= 63,
@@ -82,7 +105,24 @@ std::string NamePool::make_order_key(std::string_view flat) {
 
 std::uint32_t NamePool::intern_flat(std::string_view flat,
                                     std::size_t label_count) {
-  Shard& shard = shards_[shard_of(flat)];
+  if (flat.empty()) return 0;  // the root, pre-interned as id 0
+  const std::uint64_t hash = hash_short(flat);
+  RecentSpellings::Slot& recent =
+      recent_spellings().slots[hash & (RecentSpellings::kSlots - 1)];
+  if (recent.flat != nullptr && recent.size == flat.size() &&
+      std::memcmp(recent.flat, flat.data(), flat.size()) == 0) {
+    return recent.id;
+  }
+  const std::uint32_t id = intern_flat_slow(flat, label_count, hash);
+  recent = RecentSpellings::Slot{rep(id).flat.data(), id,
+                                 static_cast<std::uint32_t>(flat.size())};
+  return id;
+}
+
+std::uint32_t NamePool::intern_flat_slow(std::string_view flat,
+                                         std::size_t label_count,
+                                         std::uint64_t hash) {
+  Shard& shard = shards_[shard_of(hash)];
   {
     base::MutexLock lock(shard.mutex);
     auto it = shard.map.find(flat);
@@ -102,7 +142,7 @@ std::uint32_t NamePool::intern_flat(std::string_view flat,
 
 std::uint32_t NamePool::intern_canonical(std::string_view folded,
                                          std::size_t label_count) {
-  Shard& shard = shards_[shard_of(folded)];
+  Shard& shard = shards_[shard_of(hash_short(folded))];
   base::MutexLock lock(shard.mutex);
   return intern_locked(shard, folded, label_count, nullptr);
 }

@@ -6,8 +6,9 @@
 // entry, and — on canonical entries — the cached presentation text and a
 // canonical *order key* whose plain memcmp order equals RFC 4034 §6.1
 // canonical name order. Equality is one pointer compare, ordering is one
-// memcmp, and decode of an already-seen name is a hash lookup with no
-// canonicalization work at all.
+// memcmp, and decode of an already-seen name is a per-thread table hit (a
+// memcmp, no lock) or, past that table, a hash lookup under a shard lock —
+// with no canonicalization work either way.
 //
 // Storage rules ("leak by design"): entries are append-only and live for the
 // whole process. Label bytes and order keys go into per-shard arenas
@@ -65,7 +66,9 @@ class NamePool {
 
   // Intern the flat wire-form spelling `flat` (validated by the caller:
   // label lengths, total length). Returns the id of its entry, creating it
-  // and its canonical sibling on first sight.
+  // and its canonical sibling on first sight. A spelling this thread
+  // interned recently is answered from a small per-thread table (one
+  // memcmp, no lock) before any shard is consulted.
   std::uint32_t intern_flat(std::string_view flat, std::size_t label_count);
 
   // Entry for `id`. O(1), lock-free, valid for any id previously returned by
@@ -113,6 +116,11 @@ class NamePool {
   // Allocate the next id and return its (uninitialized) entry slot. The
   // caller fully populates the slot before publishing the id.
   Rep* new_rep(std::uint32_t* id_out);
+
+  // intern_flat past the per-thread table: the shard's map, under its lock.
+  // `hash` is the spelling's hash_short, which picks the shard.
+  std::uint32_t intern_flat_slow(std::string_view flat, std::size_t label_count,
+                                 std::uint64_t hash);
 
   // Intern the already-case-folded spelling (becomes its own canon).
   std::uint32_t intern_canonical(std::string_view folded,

@@ -105,7 +105,7 @@ Result<TypeBitmap> TypeBitmap::decode(ByteReader& reader, std::size_t length) {
       return Error{"rdata.bad_bitmap", "bitmap windows out of order"};
     }
     previous_window = window;
-    DNSBOOT_TRY(block, reader.bytes(len));
+    DNSBOOT_TRY(block, reader.view(len));
     for (std::size_t i = 0; i < block.size(); ++i) {
       for (int bit = 0; bit < 8; ++bit) {
         if (block[i] & (0x80 >> bit)) {
@@ -130,16 +130,13 @@ std::string TypeBitmap::to_text() const {
 // --- key tags & sentinels ----------------------------------------------------
 
 std::uint16_t DnskeyRdata::key_tag() const {
-  // RFC 4034 Appendix B.
-  ByteWriter w;
-  w.u16(flags);
-  w.u8(protocol);
-  w.u8(algorithm);
-  w.raw(public_key);
-  const Bytes& rdata = w.data();
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < rdata.size(); ++i) {
-    acc += (i & 1) ? rdata[i] : static_cast<std::uint32_t>(rdata[i]) << 8;
+  // RFC 4034 Appendix B over the wire RDATA (flags, protocol, algorithm,
+  // key), summed in place: even octets count as high bytes, odd as low.
+  // The key starts at octet 4, so its octets keep their parity.
+  std::uint32_t acc = flags + (std::uint32_t{protocol} << 8) + algorithm;
+  for (std::size_t i = 0; i < public_key.size(); ++i) {
+    acc += (i & 1) ? public_key[i]
+                   : static_cast<std::uint32_t>(public_key[i]) << 8;
   }
   acc += (acc >> 16) & 0xffff;
   return static_cast<std::uint16_t>(acc & 0xffff);
@@ -177,7 +174,7 @@ Result<Rdata> decode_rdata(RRType type, ByteReader& reader,
 
   switch (type) {
     case RRType::kA: {
-      DNSBOOT_TRY(raw, reader.bytes(4));
+      DNSBOOT_TRY(raw, reader.view(4));
       if (rdlength != 4) return Error{"rdata.length_mismatch", "A rdlength"};
       ARdata a;
       std::copy(raw.begin(), raw.end(), a.address.begin());
@@ -187,7 +184,7 @@ Result<Rdata> decode_rdata(RRType type, ByteReader& reader,
       if (rdlength != 16) {
         return Error{"rdata.length_mismatch", "AAAA rdlength"};
       }
-      DNSBOOT_TRY(raw, reader.bytes(16));
+      DNSBOOT_TRY(raw, reader.view(16));
       AaaaRdata a;
       std::copy(raw.begin(), raw.end(), a.address.begin());
       return Rdata{a};
@@ -225,7 +222,7 @@ Result<Rdata> decode_rdata(RRType type, ByteReader& reader,
       TxtRdata txt;
       while (reader.offset() < end) {
         DNSBOOT_TRY(len, reader.u8());
-        DNSBOOT_TRY(raw, reader.bytes(len));
+        DNSBOOT_TRY(raw, reader.view(len));
         txt.strings.emplace_back(raw.begin(), raw.end());
       }
       return check_consumed(Rdata{std::move(txt)});

@@ -40,6 +40,7 @@ bool RRset::same_rdatas(const RRset& other) const {
 
 Bytes canonical_rdata_bytes(const Rdata& rdata) {
   ByteWriter w;
+  w.reserve(64);  // most RDATA fits; longer grows from here, not from 1 byte
   encode_rdata(rdata, w, /*canonical=*/true);
   return w.take();
 }

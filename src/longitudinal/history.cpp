@@ -59,7 +59,9 @@ const ZoneHistory* HistoryStore::find(const dns::Name& zone) const {
 HistoryStore::ProbeOutcome HistoryStore::record_probe(
     const dns::Name& zone, net::SimTime at, const ProbeFinding& finding,
     std::uint32_t stable_probes) {
-  ZoneHistory& h = zones_[zone];
+  auto [entry, inserted] = zones_.try_emplace(zone);
+  ZoneHistory& h = entry->second;
+  if (inserted) ++phase_counts_[static_cast<int>(h.phase)];
   const double age_seconds =
       h.last_probe > 0 && at > h.last_probe
           ? static_cast<double>(at - h.last_probe) / 1e6
@@ -119,6 +121,8 @@ HistoryStore::ProbeOutcome HistoryStore::record_probe(
     t.operator_name = finding.operator_name;
 
     if (phase_changed) {
+      --phase_counts_[static_cast<int>(h.phase)];
+      ++phase_counts_[static_cast<int>(to)];
       h.phase = to;
       h.phase_since = at;
       if (to == ZonePhase::kCdsPublished && h.cds_first_seen == 0) {
@@ -142,14 +146,6 @@ HistoryStore::ProbeOutcome HistoryStore::record_probe(
     h.operator_name = intern(finding.operator_name);
   }
   return outcome;
-}
-
-std::array<std::uint64_t, kZonePhaseCount> HistoryStore::phase_counts() const {
-  std::array<std::uint64_t, kZonePhaseCount> counts{};
-  for (const auto& [zone, h] : zones_) {
-    counts[static_cast<int>(h.phase)] += 1;
-  }
-  return counts;
 }
 
 std::string HistoryStore::serialize() const {
@@ -249,6 +245,10 @@ Status HistoryStore::restore(const std::string& body) {
     zones.emplace(std::move(name).take(), h);
   }
   zones_ = std::move(zones);
+  phase_counts_ = {};
+  for (const auto& [zone, h] : zones_) {
+    ++phase_counts_[static_cast<int>(h.phase)];
+  }
   return Status::ok_status();
 }
 

@@ -101,7 +101,10 @@ class HistoryStore {
   std::uint64_t next_seq() const { return next_seq_; }
   void set_next_seq(std::uint64_t seq) { next_seq_ = seq; }
 
-  std::array<std::uint64_t, kZonePhaseCount> phase_counts() const;
+  // Zones per current phase, kept up to date as probes fold in.
+  const std::array<std::uint64_t, kZonePhaseCount>& phase_counts() const {
+    return phase_counts_;
+  }
 
   // Snapshot body: one tab-separated line per zone in canonical zone order;
   // doubles as C hex-floats so serialize(restore(serialize())) is
@@ -115,6 +118,7 @@ class HistoryStore {
   std::string_view intern(std::string_view text);
 
   std::map<dns::Name, ZoneHistory> zones_;
+  std::array<std::uint64_t, kZonePhaseCount> phase_counts_{};
   base::Arena arena_{4 * 1024};
   // Dedup table for interned strings; lookup-only, never iterated.
   std::unordered_map<std::string_view, std::string_view> interned_;

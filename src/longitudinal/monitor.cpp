@@ -70,10 +70,9 @@ Monitor::Monitor(net::Transport& network, ecosystem::Ecosystem& eco,
   (void)metrics_.counter("dnsboot_monitor_snapshots_total");
   (void)metrics_.gauge("dnsboot_monitor_zones_tracked");
   (void)metrics_.gauge("dnsboot_monitor_zones_retired");
-  (void)metrics_.gauge("dnsboot_monitor_history_arena_bytes");
   for (int i = 0; i < kZonePhaseCount; ++i) {
-    (void)metrics_.gauge("dnsboot_monitor_phase_" +
-                         to_string(static_cast<ZonePhase>(i)));
+    phase_gauges_[i] = &metrics_.gauge("dnsboot_monitor_phase_" +
+                                       to_string(static_cast<ZonePhase>(i)));
   }
 }
 
@@ -165,8 +164,10 @@ void Monitor::finish_batch(std::uint64_t seq) {
   active_batches_.erase(it);
 
   // Adopt the batch's infrastructure (superset of ours: newly seen TLDs
-  // were captured on demand) for the next batch's hand-off.
-  infra_ = batch->scanner->infrastructure();
+  // were captured on demand) for the next batch's hand-off. The scanner is
+  // done, so its snapshot moves rather than copies: each batch copies the
+  // snapshot once, when its scanner adopts it.
+  infra_ = batch->scanner->take_infrastructure();
   have_infra_ = true;
   batch->scanner.reset();
   if (!trust_.has_value() || infra_.tlds.size() != trust_tld_count_) {
@@ -257,14 +258,11 @@ Status Monitor::write_snapshot() {
 }
 
 void Monitor::refresh_gauges() {
-  const auto counts = history_.phase_counts();
+  const auto& counts = history_.phase_counts();
   for (int i = 0; i < kZonePhaseCount; ++i) {
-    metrics_
-        .gauge("dnsboot_monitor_phase_" + to_string(static_cast<ZonePhase>(i)))
-        .set(static_cast<double>(counts[i]));
+    phase_gauges_[i]->set(static_cast<double>(counts[i]));
   }
-  metrics_.gauge("dnsboot_monitor_history_arena_bytes")
-      .set(static_cast<double>(history_.arena_bytes()));
+  history_arena_gauge_.set(static_cast<double>(history_.arena_bytes()));
 }
 
 }  // namespace dnsboot::longitudinal

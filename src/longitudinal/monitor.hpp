@@ -24,6 +24,7 @@
 // drown the signal.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -124,6 +125,10 @@ class Monitor {
   analysis::OperatorIdentifier operators_;
 
   obs::MetricsRegistry metrics_;
+  // Gauges refresh_gauges() sets after every batch, looked up once.
+  std::array<obs::Gauge*, kZonePhaseCount> phase_gauges_{};
+  obs::Gauge& history_arena_gauge_{
+      metrics_.gauge("dnsboot_monitor_history_arena_bytes")};
   HistoryStore history_;
   AdoptionReporter reporter_{&metrics_};
   ReprobeScheduler scheduler_;

@@ -11,11 +11,12 @@ SimNetwork::SimNetwork(std::uint64_t seed) : rng_(seed) {
   slots_.reserve(1024);
 }
 
-void SimNetwork::push_event(Event event) {
+std::uint32_t SimNetwork::push_event(Event event) {
   EventRef ref{event.at, event.sequence, 0};
   if (free_slots_.empty()) {
     ref.slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(std::move(event));
+    slot_timers_.emplace_back();
   } else {
     ref.slot = free_slots_.back();
     free_slots_.pop_back();
@@ -23,6 +24,7 @@ void SimNetwork::push_event(Event event) {
   }
   events_.push_back(ref);
   std::push_heap(events_.begin(), events_.end(), EventOrder{});
+  return ref.slot;
 }
 
 SimNetwork::Event SimNetwork::pop_event() {
@@ -30,16 +32,20 @@ SimNetwork::Event SimNetwork::pop_event() {
   EventRef ref = events_.back();
   events_.pop_back();
   Event event = std::move(slots_[ref.slot]);
+  if (!event.is_delivery) {
+    SlotTimer& timer = slot_timers_[ref.slot];
+    event.cancelled = !timer.live;
+    if (timer.live) {
+      timer.live = false;
+      --live_timers_;
+    }
+  }
   free_slots_.push_back(ref.slot);
   return event;
 }
 
 bool SimNetwork::fire_event(Event& event) {
-  // A timer event fires only if its id is still live; erasing on drain
-  // keeps the bookkeeping bounded (it once grew monotonically).
-  if (event.timer_id != 0 && live_timers_.erase(event.timer_id) == 0) {
-    return false;
-  }
+  if (event.cancelled) return false;
   if (event.is_delivery) {
     auto it = handlers_.find(event.dgram.destination);
     if (it == handlers_.end()) {
@@ -55,19 +61,26 @@ bool SimNetwork::fire_event(Event& event) {
 }
 
 std::uint64_t SimNetwork::schedule(SimTime delay, TimerHandler fn) {
-  std::uint64_t id = next_timer_id_++;
-  live_timers_.insert(id);
   Event event;
   event.at = now_ + delay;
   event.sequence = next_sequence_++;
-  event.timer_id = id;
   event.action = std::move(fn);
-  push_event(std::move(event));
-  return id;
+  const std::uint32_t slot = push_event(std::move(event));
+  SlotTimer& timer = slot_timers_[slot];
+  // Generation 0 is never issued, so no id is 0.
+  if (++timer.generation == 0) timer.generation = 1;
+  timer.live = true;
+  ++live_timers_;
+  return std::uint64_t{timer.generation} << 32 | slot;
 }
 
 void SimNetwork::cancel(std::uint64_t timer_id) {
-  live_timers_.erase(timer_id);
+  const auto slot = static_cast<std::uint32_t>(timer_id);
+  if (slot >= slot_timers_.size()) return;
+  SlotTimer& timer = slot_timers_[slot];
+  if (!timer.live || timer.generation != timer_id >> 32) return;
+  timer.live = false;
+  --live_timers_;
 }
 
 void SimNetwork::bind(const IpAddress& address, DatagramHandler handler) {

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/bytes.hpp"
@@ -140,13 +139,22 @@ class SimNetwork : public Transport {
   SimTime now() const override { return now_; }
 
   // Run `fn` at now() + delay. Returns a timer id usable with cancel().
+  //
+  // Timer-id contract: an id is the event slot the timer occupies plus the
+  // generation that slot had when the timer was scheduled
+  // (generation << 32 | slot, never 0). A slot's generation advances each
+  // time it takes a new timer, so an id goes stale the moment its timer
+  // fires or is cancelled, and stays stale after the slot is reused:
+  // cancel() of a stale, unknown or 0 id does nothing. Schedule, cancel and
+  // fire keep no per-timer set, so they allocate nothing beyond the
+  // handler itself.
   std::uint64_t schedule(SimTime delay, TimerHandler fn) override;
   void cancel(std::uint64_t timer_id) override;
 
   // Outstanding (scheduled, neither fired nor cancelled) timers. The
   // bookkeeping must stay bounded by the number of live timers — long chaos
   // runs schedule millions of timers over their lifetime.
-  std::size_t timer_bookkeeping_size() const { return live_timers_.size(); }
+  std::size_t timer_bookkeeping_size() const { return live_timers_; }
 
   // Attach a handler to an address. Binding an already-bound address
   // replaces the handler (used for fail-over in tests).
@@ -212,8 +220,8 @@ class SimNetwork : public Transport {
   struct Event {
     SimTime at = 0;
     std::uint64_t sequence = 0;  // FIFO tie-break for equal timestamps
-    std::uint64_t timer_id = 0;  // 0 for datagram deliveries
     bool is_delivery = false;
+    bool cancelled = false;  // set on a timer as it leaves its slot
     Datagram dgram;      // valid when is_delivery
     TimerHandler action; // valid otherwise
 
@@ -248,9 +256,11 @@ class SimNetwork : public Transport {
     Rng rng;
   };
 
-  void push_event(Event event);
+  // Queue an event; returns the slot that holds it.
+  std::uint32_t push_event(Event event);
   // Remove and return the earliest event (the (at, sequence) order is total,
-  // so the heap pop is deterministic).
+  // so the heap pop is deterministic). A timer leaves with `cancelled` set
+  // unless it was still live; either way its id is stale from here on.
   Event pop_event();
   // Fire one drained event; returns false for a cancelled timer (which does
   // not count as processed).
@@ -268,17 +278,21 @@ class SimNetwork : public Transport {
 
   SimTime now_ = 0;
   std::uint64_t next_sequence_ = 1;
-  std::uint64_t next_timer_id_ = 1;
   // Binary min-heap on (at, sequence). The (at, sequence) order is total, so
   // pop order — and therefore the simulation — is independent of slot
   // numbering. Payloads live in slots_ and are reused via a free list.
   std::vector<EventRef> events_;
   std::vector<Event> slots_;
   std::vector<std::uint32_t> free_slots_;
-  // Live-timer set: ids are inserted on schedule() and erased on cancel()
-  // or when the event drains, so the bookkeeping never outgrows the number
-  // of outstanding timers.
-  std::unordered_set<std::uint64_t> live_timers_;
+  // Per-slot timer state, parallel to slots_: the generation of the slot's
+  // latest timer and whether that timer is still live (scheduled, neither
+  // fired nor cancelled). See schedule() for the id contract.
+  struct SlotTimer {
+    std::uint32_t generation = 0;
+    bool live = false;
+  };
+  std::vector<SlotTimer> slot_timers_;
+  std::size_t live_timers_ = 0;
   std::unordered_map<IpAddress, DatagramHandler, IpAddressHash> handlers_;
   std::unordered_map<IpAddress, FaultRule, IpAddressHash> faults_to_;
   std::unordered_map<IpAddress, AttackRule, IpAddressHash> attacks_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <string_view>
+#include <type_traits>
 
 namespace dnsboot::resolver {
 
@@ -223,11 +224,15 @@ void QueryEngine::send_attempt(std::uint16_t id) {
   next_free = send_at + interval;
   net::SimTime delay = send_at - network_.now();
 
-  dns::Message query = dns::Message::make_query(id, p.qname, p.qtype);
-  Bytes wire = query.encode();
-  // The closure fires exactly once, so the payload can be moved into the
-  // network instead of copied per send.
-  network_.schedule(delay, [this, id, wire = std::move(wire)]() mutable {
+  // Each scheduled send keeps its own question and writes the query bytes
+  // when it fires. A retry, TCP fallback or forgery-abort resend can wait
+  // behind pacing next to an earlier send of the same query, and a stale
+  // send can outlive its query and meet a fresh one that reused the id, so
+  // the bytes come from this send's capture, never from the pending entry.
+  // The capture fits std::function's inline buffer: scheduling allocates
+  // nothing, and a send whose query was answered while queued encodes
+  // nothing.
+  auto send = [this, qname = p.qname, qtype = p.qtype, id] {
     auto entry = pending_.find(id);
     if (entry == pending_.end()) return;  // answered while queued
     ++stats_.sends;
@@ -235,14 +240,18 @@ void QueryEngine::send_attempt(std::uint16_t id) {
     net::Datagram dgram;
     dgram.source = local_address_;
     dgram.destination = entry->second.server;
-    dgram.payload = std::move(wire);
+    dgram.payload = dns::encode_query(id, qname, qtype);
     dgram.tcp = entry->second.use_tcp;
     if (entry->second.sport != 0) {
       dgram.source_port = entry->second.sport;
       dgram.destination_port = 53;
     }
     network_.send(std::move(dgram));
-  });
+  };
+  static_assert(sizeof(send) <= 16 &&
+                    std::is_trivially_copyable_v<decltype(send)>,
+                "a queued send must fit std::function's inline buffer");
+  network_.schedule(delay, send);
   p.timeout_timer = network_.schedule(delay + timeout,
                                       [this, id] { handle_timeout(id); });
 }

@@ -64,6 +64,9 @@ class Scanner {
 
   const ScannerStats& stats() const { return stats_; }
   const InfrastructureSnapshot& infrastructure() const { return infra_; }
+  // Move the snapshot out for the next batch's hand-off, leaving this
+  // scanner's empty. Only for a scanner whose scan is over.
+  InfrastructureSnapshot take_infrastructure() { return std::move(infra_); }
   // The scanner's dnsboot_scanner_* counters and per-zone scan-duration
   // histogram; run_survey merges this into the survey-wide registry.
   const obs::MetricsRegistry& metrics() const { return metrics_; }

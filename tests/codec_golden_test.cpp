@@ -185,5 +185,135 @@ TEST(CodecGolden, CdsDeleteSentinel) {
   EXPECT_TRUE(cds->is_delete_sentinel());
 }
 
+// --- compression pointers that must not decode -------------------------------
+//
+// RFC 1035 §4.1.4 pointers name a prior occurrence, so a target at or after
+// the pointer itself is malformed ("name.bad_pointer"). That rule alone
+// makes every chain move backwards; the 32-hop cap still bounds long
+// backward chains.
+
+std::string decode_error(const Bytes& wire) {
+  auto decoded = Message::decode(wire);
+  return decoded.ok() ? "ok" : decoded.error().code;
+}
+
+// The question name is a pointer to offset 18, the answer's owner "foo.":
+// the target exists and is well formed, but lies after the pointer.
+TEST(CodecGolden, ForwardPointerIsRejected) {
+  const Bytes wire = from_hex(
+      "0001 8400 0001 0001 0000 0000"
+      "C012 0001 0001"                     // question: pointer to offset 18
+      "03666F6F00 0001 0001 00000E10 0004 0A000001");  // foo. A 10.0.0.1
+  EXPECT_EQ(decode_error(wire), "name.bad_pointer");
+  // The same bytes with the name spelled out decode: only the pointer's
+  // direction is at fault.
+  const Bytes spelled = from_hex(
+      "0001 8400 0001 0001 0000 0000"
+      "03666F6F00 0001 0001"
+      "C00C 0001 0001 00000E10 0004 0A000001");
+  EXPECT_EQ(decode_error(spelled), "ok");
+}
+
+TEST(CodecGolden, SelfPointerIsRejected) {
+  const Bytes wire = from_hex(
+      "0001 0000 0001 0000 0000 0000"
+      "C00C 0001 0001");  // the question name points at itself
+  EXPECT_EQ(decode_error(wire), "name.bad_pointer");
+}
+
+// Offset 12 points to 14 and 14 points back to 12. Whichever is read first,
+// one of the pair points forward.
+TEST(CodecGolden, TwoPointerCycleIsRejected) {
+  const Bytes wire = from_hex(
+      "0001 0000 0001 0000 0000 0000"
+      "C00E C00C 0001 0001");
+  EXPECT_EQ(decode_error(wire), "name.bad_pointer");
+  ByteReader reader{wire};
+  ASSERT_TRUE(reader.seek(14).ok());
+  auto name = Name::decode(reader);  // 14 -> 12 is backwards, 12 -> 14 is not
+  ASSERT_FALSE(name.ok());
+  EXPECT_EQ(name.error().code, "name.bad_pointer");
+}
+
+TEST(CodecGolden, PointerPastTheEndIsRejected) {
+  const Bytes wire = from_hex(
+      "0001 0000 0001 0000 0000 0000"
+      "C0FF 0001 0001");  // target 255 in an 18-byte message
+  EXPECT_EQ(decode_error(wire), "name.bad_pointer");
+  // A pointer cut off after its first octet.
+  const Bytes cut = from_hex("0001 0000 0001 0000 0000 0000 C0");
+  EXPECT_EQ(decode_error(cut), "wire.truncated");
+}
+
+// 40 pointers in an opaque RDATA, each pointing at the one before it, the
+// first at the question's root name; the next owner name points at the
+// last. Every hop is backwards, and the chain still stops at the hop cap.
+TEST(CodecGolden, LongBackwardPointerChainHitsTheHopCap) {
+  constexpr int kChain = 40;
+  Bytes wire = from_hex(
+      "0001 8400 0001 0002 0000 0000"
+      "00 0001 0001"                        // question: root, at offset 12
+      "00 1267 0001 00000000");             // owner root, TYPE4711 IN TTL 0
+  wire.push_back(0);
+  wire.push_back(static_cast<std::uint8_t>(2 * kChain));  // RDLENGTH
+  const std::size_t rdata_at = wire.size();  // 28
+  for (int i = 0; i < kChain; ++i) {
+    const std::size_t target = i == 0 ? 12 : rdata_at + 2 * (i - 1);
+    wire.push_back(static_cast<std::uint8_t>(0xc0 | target >> 8));
+    wire.push_back(static_cast<std::uint8_t>(target & 0xff));
+  }
+  const std::size_t last = rdata_at + 2 * (kChain - 1);
+  wire.push_back(static_cast<std::uint8_t>(0xc0 | last >> 8));
+  wire.push_back(static_cast<std::uint8_t>(last & 0xff));
+  for (std::uint8_t b : from_hex("0001 0001 00000000 0004 0A000001")) {
+    wire.push_back(b);
+  }
+  EXPECT_EQ(decode_error(wire), "name.pointer_loop");
+}
+
+// --- the query engine's direct encoder ------------------------------------------
+
+// encode_query writes what make_query(...).encode() writes, byte for byte.
+TEST(CodecGolden, DirectQueryEncoderMatchesEdns0Golden) {
+  const Bytes golden = from_hex(
+      "BEEF 0000 0001 0000 0000 0001"
+      "076578616D706C6503636F6D00 0030 0001"
+      "00 0029 1000 0000 8000 0000");
+  EXPECT_EQ(encode_query(0xBEEF, name_of("example.com."), RRType::kDNSKEY),
+            golden);
+}
+
+TEST(CodecGolden, DirectQueryEncoderMatchesMessageEncoder) {
+  const char* names[] = {
+      ".",
+      "example.com.",
+      "ExAmPlE.CoM.",
+      "_dsboot.Example.co.uk._signal.NS1.example.net.",
+      "a.a.a.a.",
+      "x\\.y.example.",
+      "abcdefghijklmnopqrstuvwxyzabcdefghijklmnopqrstuvwxyzabcdefghijk."
+      "abcdefghijklmnopqrstuvwxyzabcdefghijklmnopqrstuvwxyzabcdefghijk."
+      "abcdefghijklmnopqrstuvwxyzabcdefghijklmnopqrstuvwxyzabcdefghijk."
+      "abcdefghijklmnopqrstuvwxyzabcdefghijklmnopqrstuvwxyzabcdefghi.",
+  };
+  const RRType types[] = {RRType::kA, RRType::kNS, RRType::kSOA,
+                          RRType::kDNSKEY, RRType::kCDS, RRType::kTXT,
+                          static_cast<RRType>(65280)};
+  for (const char* text : names) {
+    const Name name = name_of(text);
+    for (RRType type : types) {
+      for (std::uint16_t id : {std::uint16_t{0}, std::uint16_t{1},
+                               std::uint16_t{0xffff}}) {
+        for (bool dnssec_ok : {true, false}) {
+          EXPECT_EQ(encode_query(id, name, type, dnssec_ok),
+                    Message::make_query(id, name, type, dnssec_ok).encode())
+              << text << " " << to_string(type) << " id " << id << " do "
+              << dnssec_ok;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dnsboot::dns

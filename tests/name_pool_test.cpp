@@ -200,6 +200,38 @@ TEST(NamePoolTest, ReinterningAddsNoEntries) {
   EXPECT_EQ(before.arena_bytes, after.arena_bytes);
 }
 
+TEST(NamePoolTest, PerThreadTableAnswersWithThePoolsIds) {
+  // Three times as many spellings as the per-thread re-intern table has
+  // slots, so re-interning them meets evicted and overwritten slots. Every
+  // answer, from this thread's table or a fresh thread's, must be the id
+  // the pool assigned, and re-interning must add no entries.
+  auto flat_of = [](int i) {
+    std::string label = "h" + std::to_string(i);
+    return std::string(1, static_cast<char>(label.size())) + label +
+           "\x07" "example" "\x03" "com";
+  };
+  constexpr int kSpellings = 3 * 4096;
+  std::vector<std::uint32_t> ids(kSpellings);
+  for (int i = 0; i < kSpellings; ++i) {
+    ids[i] = NamePool::instance().intern_flat(flat_of(i), 3);
+  }
+  const NamePool::Stats before = NamePool::instance().stats();
+  for (int i = kSpellings; i-- > 0;) {
+    ASSERT_EQ(NamePool::instance().intern_flat(flat_of(i), 3), ids[i]) << i;
+  }
+  std::vector<std::uint32_t> other(kSpellings);
+  std::thread thread([&] {
+    for (int i = 0; i < kSpellings; ++i) {
+      other[i] = NamePool::instance().intern_flat(flat_of(i), 3);
+    }
+  });
+  thread.join();
+  EXPECT_EQ(other, ids);
+  EXPECT_EQ(NamePool::instance().stats().entries, before.entries);
+  // The root needs no table: it is id 0 everywhere.
+  EXPECT_EQ(NamePool::instance().intern_flat(std::string_view(), 0), 0u);
+}
+
 TEST(NamePoolTest, GaugesStayFlatAcrossReprobes) {
   // The longitudinal monitor re-interns the same zone names on every
   // re-probe cycle; the pool gauges must show a stable population, not

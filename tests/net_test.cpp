@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "net/address.hpp"
 #include "net/simnet.hpp"
 
@@ -206,6 +208,74 @@ TEST(SimNetwork, CancelledTimerDoesNotFireAfterIdReuseWindow) {
   net.schedule(10, [&] { ++fired; });
   net.run();
   EXPECT_EQ(fired, 1);
+}
+
+// Timer ids are (slot, generation): an id goes stale when its timer fires or
+// is cancelled, and must stay inert after its slot is reused by a new timer.
+TEST(SimNetwork, CancelOfFiredTimerIdDoesNothing) {
+  SimNetwork net(1);
+  int first = 0;
+  int second = 0;
+  auto fired_id = net.schedule(1, [&] { ++first; });
+  net.run();
+  ASSERT_EQ(first, 1);
+  // The next timer takes the freed slot; the old id must not reach it.
+  auto live_id = net.schedule(1, [&] { ++second; });
+  EXPECT_NE(live_id, fired_id);
+  net.cancel(fired_id);
+  EXPECT_EQ(net.timer_bookkeeping_size(), 1u);
+  net.run();
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(net.timer_bookkeeping_size(), 0u);
+}
+
+TEST(SimNetwork, CancelOfStaleCancelledTimerIdDoesNothing) {
+  SimNetwork net(1);
+  int fired = 0;
+  auto cancelled_id = net.schedule(5, [&] { ++fired; });
+  net.cancel(cancelled_id);
+  EXPECT_EQ(net.timer_bookkeeping_size(), 0u);
+  net.run();  // drains the cancelled event and frees its slot
+  EXPECT_EQ(fired, 0);
+  auto reused_id = net.schedule(5, [&] { ++fired; });
+  net.cancel(cancelled_id);  // twice stale: cancelled, then slot reused
+  net.cancel(cancelled_id);
+  EXPECT_EQ(net.timer_bookkeeping_size(), 1u);
+  net.run();
+  EXPECT_EQ(fired, 1);
+  net.cancel(reused_id);  // fired: stale too
+  EXPECT_EQ(net.timer_bookkeeping_size(), 0u);
+}
+
+TEST(SimNetwork, CancelFromInsideItsOwnTimerDoesNothingToTheSlotsNextTimer) {
+  SimNetwork net(1);
+  int later = 0;
+  std::uint64_t self = 0;
+  self = net.schedule(1, [&] {
+    // The firing timer's slot is already free: a timer scheduled here may
+    // take it, and cancelling the firing timer's own id must not touch it.
+    net.schedule(1, [&] { ++later; });
+    net.cancel(self);
+    EXPECT_EQ(net.timer_bookkeeping_size(), 1u);
+  });
+  net.run();
+  EXPECT_EQ(later, 1);
+  EXPECT_EQ(net.timer_bookkeeping_size(), 0u);
+}
+
+TEST(SimNetwork, TimerIdsStayDistinctAcrossSlotReuse) {
+  SimNetwork net(1);
+  std::set<std::uint64_t> ids;
+  for (int round = 0; round < 50; ++round) {
+    auto id = net.schedule(1, [] {});
+    EXPECT_NE(id, 0u);
+    EXPECT_TRUE(ids.insert(id).second) << "id reused in round " << round;
+    net.run();
+  }
+  // Unknown ids, including 0 and slots never handed out, are no-ops.
+  net.cancel(0);
+  net.cancel(std::uint64_t{7} << 32 | 12345);
+  EXPECT_EQ(net.timer_bookkeeping_size(), 0u);
 }
 
 TEST(SimNetwork, BlackholeWindowDropsOnlyInsideWindow) {

@@ -5,6 +5,10 @@
 //   * zone-file round trips preserve DNSSEC validity.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string_view>
+#include <unordered_map>
+
 #include "base/rng.hpp"
 #include "dns/message.hpp"
 #include "dns/zonefile.hpp"
@@ -242,6 +246,136 @@ TEST_P(CodecFixpoint, EncodeDecodeEncodeIsStable) {
     ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
     Bytes wire2 = decoded->encode();
     EXPECT_EQ(wire1, wire2) << "round " << round;
+  }
+}
+
+// The message encoder as it was with an std::unordered_map compression
+// table, kept here as the reference for the flat table that replaced it:
+// same keys (canonical suffix text), first offset wins, nothing recorded
+// at offsets of 0x3fff or more.
+class ReferenceCompressor {
+ public:
+  void encode(const dns::Name& name, ByteWriter& writer) {
+    const std::string& canon = name.canonical_text();
+    std::size_t canon_pos = 0;
+    for (std::string_view label : name.labels()) {
+      std::string_view key(canon.data() + canon_pos, canon.size() - canon_pos);
+      auto it = offsets_.find(key);
+      if (it != offsets_.end()) {
+        writer.u16(static_cast<std::uint16_t>(0xc000 | it->second));
+        return;
+      }
+      if (writer.size() < 0x3fff) {
+        offsets_.emplace(key, static_cast<std::uint16_t>(writer.size()));
+      }
+      writer.u8(static_cast<std::uint8_t>(label.size()));
+      writer.raw(label);
+      canon_pos += dns::canonical_label_width(label) + 1;
+    }
+    writer.u8(0);
+  }
+
+ private:
+  std::unordered_map<std::string_view, std::uint16_t> offsets_;
+};
+
+Bytes reference_encode(const dns::Message& m) {
+  ByteWriter w;
+  w.u16(m.header.id);
+  std::uint16_t flags = 0;
+  if (m.header.qr) flags |= 0x8000;
+  flags |= static_cast<std::uint16_t>(m.header.opcode) << 11;
+  if (m.header.aa) flags |= 0x0400;
+  if (m.header.tc) flags |= 0x0200;
+  if (m.header.rd) flags |= 0x0100;
+  if (m.header.ra) flags |= 0x0080;
+  if (m.header.ad) flags |= 0x0020;
+  if (m.header.cd) flags |= 0x0010;
+  flags |= static_cast<std::uint16_t>(m.header.rcode) & 0x000f;
+  w.u16(flags);
+  w.u16(static_cast<std::uint16_t>(m.questions.size()));
+  w.u16(static_cast<std::uint16_t>(m.answers.size()));
+  w.u16(static_cast<std::uint16_t>(m.authorities.size()));
+  w.u16(static_cast<std::uint16_t>(m.additionals.size()));
+  ReferenceCompressor compressor;
+  for (const auto& q : m.questions) {
+    compressor.encode(q.name, w);
+    w.u16(static_cast<std::uint16_t>(q.type));
+    w.u16(static_cast<std::uint16_t>(q.klass));
+  }
+  for (const auto* section : {&m.answers, &m.authorities, &m.additionals}) {
+    for (const auto& rr : *section) {
+      compressor.encode(rr.name, w);
+      w.u16(static_cast<std::uint16_t>(rr.type));
+      w.u16(static_cast<std::uint16_t>(rr.klass));
+      w.u32(rr.ttl);
+      std::size_t rdlength_at = w.size();
+      w.u16(0);
+      std::size_t rdata_start = w.size();
+      dns::encode_rdata(rr.rdata, w);
+      w.patch_u16(rdlength_at,
+                  static_cast<std::uint16_t>(w.size() - rdata_start));
+    }
+  }
+  return w.take();
+}
+
+// `text` with each letter's case flipped at random: a different spelling of
+// the same name, which the compressor must match on its canonical text.
+std::string random_case(Rng& rng, std::string text) {
+  for (char& c : text) {
+    if (std::isalpha(static_cast<unsigned char>(c)) && rng.chance(0.5)) {
+      c = static_cast<char>(std::isupper(static_cast<unsigned char>(c))
+                                ? std::tolower(static_cast<unsigned char>(c))
+                                : std::toupper(static_cast<unsigned char>(c)));
+    }
+  }
+  return text;
+}
+
+// Messages far past what the compressor holds inline (hundreds of distinct
+// suffixes) and past offset 0x3fff, every name in random case: the flat
+// table must emit the reference's bytes, and the result must still be a
+// codec fixpoint.
+TEST_P(CodecFixpoint, CompressorMatchesHashMapReference) {
+  Rng rng(GetParam());
+  static const char* kZones[] = {"example.", "example.net.", "sub.example.net.",
+                                 "co.uk.", "signal.example."};
+  for (int round = 0; round < 6; ++round) {
+    dns::Message message;
+    message.header.id = static_cast<std::uint16_t>(rng.next_u64());
+    message.header.qr = true;
+    message.questions.push_back(dns::Question{
+        name_of(random_case(rng, "q.example.")), dns::RRType::kANY,
+        dns::RRClass::kIN});
+    const int records = 500 + static_cast<int>(rng.next_below(200));
+    for (int i = 0; i < records; ++i) {
+      const std::string zone = kZones[rng.next_below(std::size(kZones))];
+      const std::string owner =
+          (rng.chance(0.3) ? "w" + std::to_string(rng.next_below(4)) + "." : "") +
+          "h" + std::to_string(rng.next_below(150)) + "." + zone;
+      dns::ResourceRecord rr;
+      rr.name = name_of(random_case(rng, owner));
+      rr.ttl = 300;
+      if (rng.chance(0.5)) {
+        rr.type = dns::RRType::kNS;
+        rr.rdata = dns::NsRdata{name_of(random_case(rng, "ns1." + zone))};
+      } else {
+        rr.type = static_cast<dns::RRType>(4711);
+        rr.rdata = dns::RawRdata{rng.bytes(16 + rng.next_below(48))};
+      }
+      auto& section = rng.chance(0.7)   ? message.answers
+                      : rng.chance(0.5) ? message.authorities
+                                        : message.additionals;
+      section.push_back(std::move(rr));
+    }
+
+    Bytes wire = message.encode();
+    ASSERT_GT(wire.size(), 0x3fffu) << "round " << round;
+    EXPECT_EQ(wire, reference_encode(message)) << "round " << round;
+    auto decoded = dns::Message::decode(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+    EXPECT_EQ(decoded->encode(), wire) << "round " << round;
   }
 }
 
