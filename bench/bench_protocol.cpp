@@ -4,6 +4,7 @@
 // benches can afford.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 
 #include "base/rng.hpp"
@@ -191,6 +192,20 @@ void BM_Sha256_1k(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_Sha256_1k);
+
+// One base-point multiplication and one point encoding per call: the cost
+// build_shard pays once per generated key.
+void BM_Ed25519PublicKey(benchmark::State& state) {
+  Rng rng(4);
+  crypto::Ed25519Seed seed;
+  const Bytes start = rng.bytes(seed.size());
+  std::copy(start.begin(), start.end(), seed.begin());
+  for (auto _ : state) {
+    ++seed[0];
+    benchmark::DoNotOptimize(crypto::ed25519_public_key(seed));
+  }
+}
+BENCHMARK(BM_Ed25519PublicKey);
 
 void BM_Ed25519Sign(benchmark::State& state) {
   Rng rng(2);

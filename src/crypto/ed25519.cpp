@@ -3,15 +3,25 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <vector>
 
+#include "crypto/ed25519_scalar.hpp"
 #include "crypto/sha2.hpp"
 
 namespace dnsboot::crypto {
 namespace {
 
+using ed25519_detail::scalar_below_l;
+using ed25519_detail::scalar_muladd;
+using ed25519_detail::scalar_reduce;
+using U128 = ed25519_detail::U128;
+
 // ---------------------------------------------------------------------------
 // Field arithmetic over GF(p), p = 2^255 - 19, radix-2^51 limbs.
-// Invariant outside of intermediate sums: each limb < 2^52.
+// Invariant outside of intermediate sums: each limb < 2^52. fe_mul and fe_sq
+// accept limbs below 2^54 (a sum of up to three such elements); fe_sub's
+// subtrahend must come straight from fe_mul, fe_sq or fe_sub, whose limbs
+// stay below the 2p it adds.
 // ---------------------------------------------------------------------------
 
 struct Fe {
@@ -56,60 +66,66 @@ Fe fe_sub(const Fe& a, const Fe& b) {
   return r;
 }
 
+// Carries the five 128-bit column sums of a product into limbs below 2^52,
+// with 2^255 = 19 folding the top carry into limb 0. For factors below 2^54
+// per limb every column is below 2^115, and column 4 (no factor 19) below
+// 5 * 2^108. The wide carries of columns 0, 2 and 3 go first and those of 1
+// and 4 next, so the critical path is three carry levels deep instead of
+// the six of one sequential chain.
+Fe fe_carry_wide(U128 t0, U128 t1, U128 t2, U128 t3, U128 t4) {
+  const auto lo = [](U128 t) {
+    return static_cast<std::uint64_t>(t) & kMask51;
+  };
+  const auto hi = [](U128 t) { return static_cast<std::uint64_t>(t >> 51); };
+  // Level 1: columns 0 -> 1, 2 -> 3 and 3 -> 4, from the raw sums.
+  t1 += hi(t0);
+  t4 += hi(t3);
+  std::uint64_t r3 = lo(t3) + hi(t2);  // below 2^64
+  // Level 2: 1 -> 2, 4 -> 0 and 3 -> 4.
+  std::uint64_t r2 = lo(t2) + hi(t1);
+  std::uint64_t r0 = lo(t0) + 19 * hi(t4);  // hi(t4) < 5 * 2^57 + 2^13
+  const std::uint64_t r4 = lo(t4) + (r3 >> 51);
+  std::uint64_t r1 = lo(t1);
+  r3 &= kMask51;
+  // Level 3: the two limbs that took a wide carry at level 2 pass on what
+  // is left (below 2^13).
+  r3 += r2 >> 51;
+  r1 += r0 >> 51;
+  return Fe{{r0 & kMask51, r1, r2 & kMask51, r3, r4}};
+}
+
 Fe fe_mul(const Fe& a, const Fe& b) {
-  using u128 = unsigned __int128;
   const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
   const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
   const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
 
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 +
-            (u128)a3 * b2_19 + (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 +
-            (u128)a3 * b3_19 + (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 +
-            (u128)a3 * b4_19 + (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 +
-            (u128)a3 * b0 + (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 +
-            (u128)a3 * b1 + (u128)a4 * b0;
-
-  Fe r;
-  std::uint64_t c;
-  c = static_cast<std::uint64_t>(t0 >> 51); r.v[0] = static_cast<std::uint64_t>(t0) & kMask51; t1 += c;
-  c = static_cast<std::uint64_t>(t1 >> 51); r.v[1] = static_cast<std::uint64_t>(t1) & kMask51; t2 += c;
-  c = static_cast<std::uint64_t>(t2 >> 51); r.v[2] = static_cast<std::uint64_t>(t2) & kMask51; t3 += c;
-  c = static_cast<std::uint64_t>(t3 >> 51); r.v[3] = static_cast<std::uint64_t>(t3) & kMask51; t4 += c;
-  c = static_cast<std::uint64_t>(t4 >> 51); r.v[4] = static_cast<std::uint64_t>(t4) & kMask51;
-  r.v[0] += c * 19;
-  c = r.v[0] >> 51; r.v[0] &= kMask51; r.v[1] += c;
-  return r;
+  return fe_carry_wide(
+      (U128)a0 * b0 + (U128)a1 * b4_19 + (U128)a2 * b3_19 + (U128)a3 * b2_19 +
+          (U128)a4 * b1_19,
+      (U128)a0 * b1 + (U128)a1 * b0 + (U128)a2 * b4_19 + (U128)a3 * b3_19 +
+          (U128)a4 * b2_19,
+      (U128)a0 * b2 + (U128)a1 * b1 + (U128)a2 * b0 + (U128)a3 * b4_19 +
+          (U128)a4 * b3_19,
+      (U128)a0 * b3 + (U128)a1 * b2 + (U128)a2 * b1 + (U128)a3 * b0 +
+          (U128)a4 * b4_19,
+      (U128)a0 * b4 + (U128)a1 * b3 + (U128)a2 * b2 + (U128)a3 * b1 +
+          (U128)a4 * b0);
 }
 
 // Dedicated squaring: the symmetric cross terms fold into doubled products,
 // ~3/5 the multiply work of the general fe_mul.
 Fe fe_sq(const Fe& a) {
-  using u128 = unsigned __int128;
   const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
                       a4 = a.v[4];
   const std::uint64_t a0_2 = a0 * 2, a1_2 = a1 * 2, a2_2 = a2 * 2,
                       a3_19 = a3 * 19, a4_19 = a4 * 19;
 
-  u128 t0 = (u128)a0 * a0 + (u128)a1_2 * a4_19 + (u128)a2_2 * a3_19;
-  u128 t1 = (u128)a0_2 * a1 + (u128)a2_2 * a4_19 + (u128)a3 * a3_19;
-  u128 t2 = (u128)a0_2 * a2 + (u128)a1 * a1 + (u128)a3 * 2 * a4_19;
-  u128 t3 = (u128)a0_2 * a3 + (u128)a1_2 * a2 + (u128)a4 * a4_19;
-  u128 t4 = (u128)a0_2 * a4 + (u128)a1_2 * a3 + (u128)a2 * a2;
-
-  Fe r;
-  std::uint64_t c;
-  c = static_cast<std::uint64_t>(t0 >> 51); r.v[0] = static_cast<std::uint64_t>(t0) & kMask51; t1 += c;
-  c = static_cast<std::uint64_t>(t1 >> 51); r.v[1] = static_cast<std::uint64_t>(t1) & kMask51; t2 += c;
-  c = static_cast<std::uint64_t>(t2 >> 51); r.v[2] = static_cast<std::uint64_t>(t2) & kMask51; t3 += c;
-  c = static_cast<std::uint64_t>(t3 >> 51); r.v[3] = static_cast<std::uint64_t>(t3) & kMask51; t4 += c;
-  c = static_cast<std::uint64_t>(t4 >> 51); r.v[4] = static_cast<std::uint64_t>(t4) & kMask51;
-  r.v[0] += c * 19;
-  c = r.v[0] >> 51; r.v[0] &= kMask51; r.v[1] += c;
-  return r;
+  return fe_carry_wide(
+      (U128)a0 * a0 + (U128)a1_2 * a4_19 + (U128)a2_2 * a3_19,
+      (U128)a0_2 * a1 + (U128)a2_2 * a4_19 + (U128)a3 * a3_19,
+      (U128)a0_2 * a2 + (U128)a1 * a1 + (U128)a3 * 2 * a4_19,
+      (U128)a0_2 * a3 + (U128)a1_2 * a2 + (U128)a4 * a4_19,
+      (U128)a0_2 * a4 + (U128)a1_2 * a3 + (U128)a2 * a2);
 }
 
 // n successive squarings.
@@ -267,55 +283,94 @@ const Constants& constants() {
 }
 
 // ---------------------------------------------------------------------------
-// Point arithmetic, extended coordinates (X:Y:Z:T), x = X/Z, y = Y/Z, T=XY/Z.
+// Point arithmetic (RFC 8032 §5.1.4 formulas, in ref10's coordinate forms).
+// The addition and doubling laws are complete on this curve, so every input
+// point, small-order ones included, takes the same path.
 // ---------------------------------------------------------------------------
 
+// Extended coordinates (X:Y:Z:T): x = X/Z, y = Y/Z, T = XY/Z.
 struct Point {
   Fe x, y, z, t;
 };
 
-Point point_identity() { return Point{fe_zero(), fe_one(), fe_one(), fe_zero()}; }
+// Projective coordinates (X:Y:Z), an extended point without T: enough to
+// double from.
+struct ProjectivePoint {
+  Fe x, y, z;
+};
 
-// RFC 8032 §5.1.4 addition.
-Point point_add(const Point& p, const Point& q) {
-  Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
-  Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
-  Fe c = fe_mul(fe_mul(p.t, constants().d2), q.t);
-  Fe d = fe_mul(fe_add(p.z, p.z), q.z);
-  Fe e = fe_sub(b, a);
-  Fe f = fe_sub(d, c);
-  Fe g = fe_add(d, c);
-  Fe h = fe_add(b, a);
-  return Point{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+// The "completed" result of an addition or doubling, (E:H:G:F) with
+// x = E/G and y = H/F, before the final multiplications.
+struct CompletedPoint {
+  Fe e, h, g, f;
+};
+
+// An addend in "cached" form: (Y+X, Y−X, Z, T·2d). Storing the sums and the
+// 2d product once per addend shaves two additions and one multiply off every
+// addition that uses it.
+struct CachedPoint {
+  Fe y_plus_x, y_minus_x, z, t2d;
+};
+
+// A cached addend with Z = 1: (y+x, y−x, 2dxy). One multiply cheaper again.
+struct AffinePoint {
+  Fe y_plus_x, y_minus_x, xy2d;
+};
+
+Point point_identity() {
+  return Point{fe_zero(), fe_one(), fe_one(), fe_zero()};
 }
 
-// RFC 8032 §5.1.4 doubling.
-Point point_double(const Point& p) {
-  Fe a = fe_sq(p.x);
-  Fe b = fe_sq(p.y);
-  Fe c = fe_add(fe_sq(p.z), fe_sq(p.z));
-  Fe h = fe_add(a, b);
-  Fe xy = fe_add(p.x, p.y);
-  Fe e = fe_sub(h, fe_sq(xy));
-  Fe g = fe_sub(a, b);
-  Fe f = fe_add(c, g);
-  return Point{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+Point to_extended(const CompletedPoint& p) {
+  return Point{fe_mul(p.e, p.f), fe_mul(p.h, p.g), fe_mul(p.g, p.f),
+               fe_mul(p.e, p.h)};
 }
 
-Point point_neg(const Point& p) {
-  return Point{fe_neg(p.x), p.y, p.z, fe_neg(p.t)};
+ProjectivePoint to_projective(const CompletedPoint& p) {
+  return ProjectivePoint{fe_mul(p.e, p.f), fe_mul(p.h, p.g), fe_mul(p.g, p.f)};
 }
 
-// Variable-time scalar multiplication, MSB-first double-and-add.
-Point point_scalarmult(const Point& p, const std::uint8_t scalar_le[32]) {
-  Point r = point_identity();
-  for (int byte = 31; byte >= 0; --byte) {
-    for (int bit = 7; bit >= 0; --bit) {
-      r = point_double(r);
-      if ((scalar_le[byte] >> bit) & 1) r = point_add(r, p);
-    }
-  }
-  return r;
+CachedPoint point_cache(const Point& p) {
+  return CachedPoint{fe_add(p.y, p.x), fe_sub(p.y, p.x), p.z,
+                     fe_mul(p.t, constants().d2)};
+}
+
+// 2p, four squarings: T is neither read nor needed.
+CompletedPoint point_double(const ProjectivePoint& p) {
+  const Fe a = fe_sq(p.x);
+  const Fe b = fe_sq(p.y);
+  const Fe zz = fe_sq(p.z);
+  const Fe h = fe_add(a, b);
+  const Fe g = fe_sub(a, b);
+  return CompletedPoint{fe_sub(h, fe_sq(fe_add(p.x, p.y))), h, g,
+                        fe_add(fe_add(zz, zz), g)};
+}
+
+// Shared tail of the additions: (y1−x1)·qm, (y1+x1)·qp, t1·qt and 2·z1·qz
+// combine to p + q, or to p − q when `subtract` (−q swaps qp and qm and
+// negates qt).
+CompletedPoint point_add_terms(const Fe& a, const Fe& b, const Fe& c,
+                               const Fe& d, bool subtract) {
+  const Fe sum = fe_add(d, c);
+  const Fe diff = fe_sub(d, c);
+  return CompletedPoint{fe_sub(b, a), fe_add(b, a), subtract ? diff : sum,
+                        subtract ? sum : diff};
+}
+
+CompletedPoint point_add(const Point& p, const CachedPoint& q,
+                         bool subtract) {
+  const Fe a = fe_mul(fe_sub(p.y, p.x), subtract ? q.y_plus_x : q.y_minus_x);
+  const Fe b = fe_mul(fe_add(p.y, p.x), subtract ? q.y_minus_x : q.y_plus_x);
+  const Fe c = fe_mul(p.t, q.t2d);
+  const Fe zz = fe_mul(p.z, q.z);
+  return point_add_terms(a, b, c, fe_add(zz, zz), subtract);
+}
+
+CompletedPoint point_add(const Point& p, const AffinePoint& q, bool subtract) {
+  const Fe a = fe_mul(fe_sub(p.y, p.x), subtract ? q.y_plus_x : q.y_minus_x);
+  const Fe b = fe_mul(fe_add(p.y, p.x), subtract ? q.y_minus_x : q.y_plus_x);
+  const Fe c = fe_mul(p.t, q.xy2d);
+  return point_add_terms(a, b, c, fe_add(p.z, p.z), subtract);
 }
 
 void point_encode(std::uint8_t out[32], const Point& p) {
@@ -373,132 +428,107 @@ const Point& base_point() {
   return b;
 }
 
-// A table entry in "cached" form: (Y+X, Y−X, Z, T·2d). Storing the sums and
-// the 2d product once per entry shaves two additions and one multiply off
-// every table addition relative to the generic point_add.
-struct CachedPoint {
-  Fe y_plus_x, y_minus_x, z, t2d;
-};
-
-CachedPoint point_cache(const Point& p) {
-  return CachedPoint{fe_add(p.y, p.x), fe_sub(p.y, p.x), p.z,
-                     fe_mul(p.t, constants().d2)};
-}
-
-Point point_add_cached(const Point& p, const CachedPoint& q) {
-  Fe a = fe_mul(fe_sub(p.y, p.x), q.y_minus_x);
-  Fe b = fe_mul(fe_add(p.y, p.x), q.y_plus_x);
-  Fe c = fe_mul(q.t2d, p.t);
-  Fe d = fe_mul(fe_add(p.z, p.z), q.z);
-  Fe e = fe_sub(b, a);
-  Fe f = fe_sub(d, c);
-  Fe g = fe_add(d, c);
-  Fe h = fe_add(b, a);
-  return Point{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
-}
-
-// Precomputed multiples of the base point for 8-bit fixed-window scalar
-// multiplication: table[w][j-1] = j * 256^w * B, cached form. Signing and
-// key generation perform a base multiplication per call; 32 cached
-// additions per multiply is ~4x cheaper than the 4-bit Point table this
-// replaces (and ~40x cheaper than double-and-add). ~1.3 MiB, built once.
+// Multiples of the base point for signed radix-256 scalar multiplication:
+// entry[w][j-1] = j * 256^w * B for j = 1..128, affine. A scalar's 32 signed
+// digits in [-128, 128] then cost one 7-multiply addition each. 480 KiB,
+// built once; each window's 128 Z coordinates share one inversion.
 struct BaseTable {
-  CachedPoint entry[32][255];
+  AffinePoint entry[32][128];
 };
 
 const BaseTable& base_table() {
   static const BaseTable& table = *[] {
     auto* t = new BaseTable;  // leaked singleton, like the name pool
+    std::vector<Point> multiple(128);
+    std::vector<Fe> z_prefix(128);  // z_prefix[j] = Z_0 · ... · Z_j
     Point window_base = base_point();  // 256^w * B
     for (int w = 0; w < 32; ++w) {
-      Point acc = window_base;
-      for (int j = 0; j < 255; ++j) {
-        t->entry[w][j] = point_cache(acc);
-        acc = point_add(acc, window_base);
+      const CachedPoint step = point_cache(window_base);
+      multiple[0] = window_base;
+      z_prefix[0] = window_base.z;
+      for (int j = 1; j < 128; ++j) {
+        multiple[j] = to_extended(point_add(multiple[j - 1], step, false));
+        z_prefix[j] = fe_mul(z_prefix[j - 1], multiple[j].z);
       }
-      window_base = acc;  // 256 * window_base
+      // Montgomery's trick: inv is 1 / z_prefix[j] at the top of each step.
+      Fe inv = fe_invert(z_prefix[127]);
+      for (int j = 127; j >= 0; --j) {
+        Fe z_inv = inv;
+        if (j > 0) {
+          z_inv = fe_mul(inv, z_prefix[j - 1]);
+          inv = fe_mul(inv, multiple[j].z);
+        }
+        const Fe x = fe_mul(multiple[j].x, z_inv);
+        const Fe y = fe_mul(multiple[j].y, z_inv);
+        t->entry[w][j] = AffinePoint{fe_add(y, x), fe_sub(y, x),
+                                     fe_mul(fe_mul(x, y), constants().d2)};
+      }
+      const Point& top = multiple[127];  // 128 * 256^w * B
+      window_base =
+          to_extended(point_double(ProjectivePoint{top.x, top.y, top.z}));
     }
     return t;
   }();
   return table;
 }
 
-// r = scalar * B via the precomputed window table (variable time).
+// r = scalar * B for a scalar below 2^255 (its top bit clear, as for every
+// clamped or reduced scalar). Variable time.
 Point point_scalarmult_base(const std::uint8_t scalar_le[32]) {
   const BaseTable& table = base_table();
   Point acc = point_identity();
+  int carry = 0;
   for (int w = 0; w < 32; ++w) {
-    int byte = scalar_le[w];
-    if (byte != 0) acc = point_add_cached(acc, table.entry[w][byte - 1]);
+    // Bytes become signed digits in [-128, 127]; the top one, at most
+    // 127 + 1, keeps its carry.
+    int digit = scalar_le[w] + carry;
+    carry = w < 31 && digit > 127;
+    digit -= carry * 256;
+    if (digit == 0) continue;
+    const bool negative = digit < 0;
+    const AffinePoint& entry = table.entry[w][(negative ? -digit : digit) - 1];
+    acc = to_extended(point_add(acc, entry, negative));
   }
   return acc;
 }
 
-// ---------------------------------------------------------------------------
-// Scalar arithmetic mod L = 2^252 + 27742317777372353535851937790883648493.
-// TweetNaCl-style byte-wise reduction.
-// ---------------------------------------------------------------------------
+// r = k * p for a scalar k below 2^253 (a reduced one). Signed radix-16
+// digits in [-8, 8] index an eight-entry table of p..8p; each digit costs
+// four doublings, the first three without T.
+Point point_scalarmult(const Point& p, const std::uint8_t k_le[32]) {
+  int digit[64];
+  for (int i = 0; i < 32; ++i) {
+    digit[2 * i] = k_le[i] & 15;
+    digit[2 * i + 1] = k_le[i] >> 4;
+  }
+  for (int i = 0; i < 63; ++i) {
+    const int carry = (digit[i] + 8) >> 4;
+    digit[i] -= carry * 16;
+    digit[i + 1] += carry;
+  }
 
-constexpr std::int64_t kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12,
-                                 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9,
-                                 0xde, 0x14, 0,    0,    0,    0,    0,
-                                 0,    0,    0,    0,    0,    0,    0,
-                                 0,    0,    0,    0x10};
+  CachedPoint table[8];
+  table[0] = point_cache(p);
+  Point multiple = p;
+  for (int j = 1; j < 8; ++j) {
+    multiple = to_extended(point_add(multiple, table[0], false));
+    table[j] = point_cache(multiple);
+  }
 
-void mod_l(std::uint8_t r[32], std::int64_t x[64]) {
-  std::int64_t carry;
-  for (int i = 63; i >= 32; --i) {
-    carry = 0;
-    int j;
-    for (j = i - 32; j < i - 12; ++j) {
-      x[j] += carry - 16 * x[i] * kL[j - (i - 32)];
-      carry = (x[j] + 128) >> 8;
-      x[j] -= carry << 8;
+  Point acc = point_identity();
+  for (int i = 63; i >= 0; --i) {
+    if (i < 63) {
+      ProjectivePoint q{acc.x, acc.y, acc.z};
+      for (int d = 0; d < 3; ++d) q = to_projective(point_double(q));
+      acc = to_extended(point_double(q));
     }
-    x[j] += carry;
-    x[i] = 0;
-  }
-  carry = 0;
-  for (int j = 0; j < 32; ++j) {
-    x[j] += carry - (x[31] >> 4) * kL[j];
-    carry = x[j] >> 8;
-    x[j] &= 255;
-  }
-  for (int j = 0; j < 32; ++j) x[j] -= carry * kL[j];
-  for (int i = 0; i < 32; ++i) {
-    x[i + 1] += x[i] >> 8;
-    r[i] = static_cast<std::uint8_t>(x[i] & 255);
-  }
-}
-
-// Reduce a 64-byte little-endian value mod L.
-void scalar_reduce(std::uint8_t r[32], const std::uint8_t h[64]) {
-  std::int64_t x[64];
-  for (int i = 0; i < 64; ++i) x[i] = h[i];
-  mod_l(r, x);
-}
-
-// r = (a*b + c) mod L, inputs 32-byte little-endian.
-void scalar_muladd(std::uint8_t r[32], const std::uint8_t a[32],
-                   const std::uint8_t b[32], const std::uint8_t c[32]) {
-  std::int64_t x[64];
-  for (auto& v : x) v = 0;
-  for (int i = 0; i < 32; ++i) x[i] = c[i];
-  for (int i = 0; i < 32; ++i) {
-    for (int j = 0; j < 32; ++j) {
-      x[i + j] += static_cast<std::int64_t>(a[i]) * b[j];
+    if (digit[i] != 0) {
+      const bool negative = digit[i] < 0;
+      const CachedPoint& entry = table[(negative ? -digit[i] : digit[i]) - 1];
+      acc = to_extended(point_add(acc, entry, negative));
     }
   }
-  mod_l(r, x);
-}
-
-// Checks s < L (malleability check, RFC 8032 §5.1.7).
-bool scalar_in_range(const std::uint8_t s[32]) {
-  for (int i = 31; i >= 0; --i) {
-    if (s[i] < kL[i]) return true;
-    if (s[i] > kL[i]) return false;
-  }
-  return false;  // s == L
+  return acc;
 }
 
 void clamp(std::uint8_t scalar[32]) {
@@ -580,7 +610,7 @@ VerifyMemo& verify_memo() {
   return *memo;
 }
 
-// Check [S]B == R + [k]A  <=>  [S]B + [k](-A) == R for a memo key whose S is
+// Check [S]B == R + [k]A  <=>  [S]B - [k]A == R for a memo key whose S is
 // already range-checked. False when A is not a curve point.
 bool verify_equation(const VerifyMemo::Key& key) {
   const std::uint8_t* a_bytes = key.data();
@@ -589,11 +619,10 @@ bool verify_equation(const VerifyMemo::Key& key) {
   const std::uint8_t* k = key.data() + 96;
   Point a;
   if (!point_decode(a, a_bytes)) return false;
-  Point sb = point_scalarmult_base(s_bytes);
-  Point ka = point_scalarmult(point_neg(a), k);
-  Point check = point_add(sb, ka);
+  const Point sb = point_scalarmult_base(s_bytes);
+  const Point ka = point_scalarmult(a, k);
   std::uint8_t check_bytes[32];
-  point_encode(check_bytes, check);
+  point_encode(check_bytes, to_extended(point_add(sb, point_cache(ka), true)));
   return std::memcmp(check_bytes, r_bytes, 32) == 0;
 }
 
@@ -642,7 +671,7 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
 bool ed25519_verify(const Ed25519PublicKey& public_key, BytesView message,
                     const Ed25519Signature& signature) {
   const std::uint8_t* s_bytes = signature.data() + 32;
-  if (!scalar_in_range(s_bytes)) return false;
+  if (!scalar_below_l(s_bytes)) return false;
 
   // Key = A || R || S || k, with k = SHA512(R || A || M) mod L.
   VerifyMemo::Key key{};

@@ -1,9 +1,12 @@
 // Ed25519 (RFC 8032) — DNSSEC signature algorithm 15 (RFC 8080).
 //
 // Self-contained implementation: radix-2^51 field arithmetic over
-// GF(2^255-19), extended-coordinate Edwards point arithmetic, and TweetNaCl-
-// style scalar reduction mod the group order L. Validated against the RFC
-// 8032 test vectors in tests/crypto_test.cpp.
+// GF(2^255-19), Edwards point arithmetic in ref10's coordinate forms, and
+// Barrett reduction mod the group order L (crypto/ed25519_scalar.hpp). Base-
+// point multiples come from a signed radix-256 table of affine points built
+// on first use (480 KiB); the verifier's [k]A uses signed radix-16 digits.
+// Validated against the RFC 8032 test vectors and a golden digest of keys,
+// signatures and verdicts in tests/crypto_test.cpp.
 //
 // NOTE: This implementation is *not* constant-time. dnsboot signs synthetic
 // zones inside a simulator; it never holds keys that protect real data. The

@@ -1,6 +1,7 @@
 #include "net/simnet.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "dns/message.hpp"
 
@@ -11,41 +12,78 @@ SimNetwork::SimNetwork(std::uint64_t seed) : rng_(seed) {
   slots_.reserve(1024);
 }
 
+void SimNetwork::heap_place(std::size_t index, const EventRef& ref) {
+  events_[index] = ref;
+  slot_state_[ref.slot].heap_index = static_cast<std::uint32_t>(index);
+}
+
+void SimNetwork::heap_sift_up(std::size_t index) {
+  const EventRef moving = events_[index];
+  while (index > 0) {
+    const std::size_t parent = (index - 1) / 2;
+    if (!moving.before(events_[parent])) break;
+    heap_place(index, events_[parent]);
+    index = parent;
+  }
+  heap_place(index, moving);
+}
+
+void SimNetwork::heap_sift_down(std::size_t index) {
+  const EventRef moving = events_[index];
+  const std::size_t size = events_.size();
+  for (;;) {
+    std::size_t child = 2 * index + 1;
+    if (child >= size) break;
+    if (child + 1 < size && events_[child + 1].before(events_[child])) ++child;
+    if (!events_[child].before(moving)) break;
+    heap_place(index, events_[child]);
+    index = child;
+  }
+  heap_place(index, moving);
+}
+
+void SimNetwork::heap_remove(std::size_t index) {
+  const EventRef last = events_.back();
+  events_.pop_back();
+  if (index == events_.size()) return;
+  events_[index] = last;
+  if (index > 0 && last.before(events_[(index - 1) / 2])) {
+    heap_sift_up(index);
+  } else {
+    heap_sift_down(index);
+  }
+}
+
 std::uint32_t SimNetwork::push_event(Event event) {
   EventRef ref{event.at, event.sequence, 0};
   if (free_slots_.empty()) {
     ref.slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(std::move(event));
-    slot_timers_.emplace_back();
+    slot_state_.emplace_back();
   } else {
     ref.slot = free_slots_.back();
     free_slots_.pop_back();
     slots_[ref.slot] = std::move(event);
   }
   events_.push_back(ref);
-  std::push_heap(events_.begin(), events_.end(), EventOrder{});
+  heap_sift_up(events_.size() - 1);
   return ref.slot;
 }
 
 SimNetwork::Event SimNetwork::pop_event() {
-  std::pop_heap(events_.begin(), events_.end(), EventOrder{});
-  EventRef ref = events_.back();
-  events_.pop_back();
-  Event event = std::move(slots_[ref.slot]);
-  if (!event.is_delivery) {
-    SlotTimer& timer = slot_timers_[ref.slot];
-    event.cancelled = !timer.live;
-    if (timer.live) {
-      timer.live = false;
-      --live_timers_;
-    }
+  const std::uint32_t slot = events_.front().slot;
+  heap_remove(0);
+  Event event = std::move(slots_[slot]);
+  SlotState& state = slot_state_[slot];
+  if (state.live) {
+    state.live = false;
+    --live_timers_;
   }
-  free_slots_.push_back(ref.slot);
+  free_slots_.push_back(slot);
   return event;
 }
 
-bool SimNetwork::fire_event(Event& event) {
-  if (event.cancelled) return false;
+void SimNetwork::fire_event(Event& event) {
   if (event.is_delivery) {
     auto it = handlers_.find(event.dgram.destination);
     if (it == handlers_.end()) {
@@ -57,7 +95,6 @@ bool SimNetwork::fire_event(Event& event) {
   } else {
     event.action();
   }
-  return true;
 }
 
 std::uint64_t SimNetwork::schedule(SimTime delay, TimerHandler fn) {
@@ -66,21 +103,28 @@ std::uint64_t SimNetwork::schedule(SimTime delay, TimerHandler fn) {
   event.sequence = next_sequence_++;
   event.action = std::move(fn);
   const std::uint32_t slot = push_event(std::move(event));
-  SlotTimer& timer = slot_timers_[slot];
+  SlotState& state = slot_state_[slot];
   // Generation 0 is never issued, so no id is 0.
-  if (++timer.generation == 0) timer.generation = 1;
-  timer.live = true;
+  if (++state.generation == 0) state.generation = 1;
+  state.live = true;
   ++live_timers_;
-  return std::uint64_t{timer.generation} << 32 | slot;
+  return std::uint64_t{state.generation} << 32 | slot;
 }
 
 void SimNetwork::cancel(std::uint64_t timer_id) {
   const auto slot = static_cast<std::uint32_t>(timer_id);
-  if (slot >= slot_timers_.size()) return;
-  SlotTimer& timer = slot_timers_[slot];
-  if (!timer.live || timer.generation != timer_id >> 32) return;
-  timer.live = false;
+  if (slot >= slot_state_.size()) return;
+  SlotState& state = slot_state_[slot];
+  if (!state.live || state.generation != timer_id >> 32) return;
+  state.live = false;
   --live_timers_;
+  heap_remove(state.heap_index);
+  Event& event = slots_[slot];
+  cancelled_horizon_ = std::max(cancelled_horizon_, event.at);
+  // The handler dies at the end of this call, after the queue is whole
+  // again, so a destructor that schedules or cancels sees a valid state.
+  const TimerHandler handler = std::exchange(event.action, nullptr);
+  free_slots_.push_back(slot);
 }
 
 void SimNetwork::bind(const IpAddress& address, DatagramHandler handler) {
@@ -337,8 +381,11 @@ std::size_t SimNetwork::run(std::size_t max_events) {
   while (!events_.empty() && processed < max_events) {
     Event event = pop_event();
     now_ = event.at;
-    if (fire_event(event)) ++processed;
+    fire_event(event);
+    ++processed;
   }
+  // Drained: end where the cancelled timers would have expired.
+  if (processed < max_events) now_ = std::max(now_, cancelled_horizon_);
   events_processed_ += processed;
   return processed;
 }
@@ -348,7 +395,8 @@ std::size_t SimNetwork::run_until(SimTime deadline) {
   while (!events_.empty() && events_.front().at <= deadline) {
     Event event = pop_event();
     now_ = event.at;
-    if (fire_event(event)) ++processed;
+    fire_event(event);
+    ++processed;
   }
   if (now_ < deadline) now_ = deadline;
   events_processed_ += processed;

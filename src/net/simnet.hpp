@@ -148,6 +148,12 @@ class SimNetwork : public Transport {
   // cancel() of a stale, unknown or 0 id does nothing. Schedule, cancel and
   // fire keep no per-timer set, so they allocate nothing beyond the
   // handler itself.
+  //
+  // cancel() takes a live timer's event out of the queue at once (O(log n))
+  // and destroys its handler. A run() that drains the queue still ends at
+  // the latest due time of any timer cancelled while queued, if that is
+  // later than the last event it fired: the clock reads as if cancelled
+  // timers had stayed queued and expired unfired.
   std::uint64_t schedule(SimTime delay, TimerHandler fn) override;
   void cancel(std::uint64_t timer_id) override;
 
@@ -190,7 +196,9 @@ class SimNetwork : public Transport {
   const AttackStats& attack_stats() const { return attack_stats_; }
 
   // Process events until the queue is empty or `max_events` fire.
-  // Returns the number of events processed.
+  // Returns the number of events processed. When the queue empties first,
+  // now() ends no earlier than the latest cancelled timer's due time (see
+  // cancel()); a run stopped by `max_events` ends at its last event.
   std::size_t run(std::size_t max_events = SIZE_MAX) override;
   // Process events with time <= deadline.
   std::size_t run_until(SimTime deadline);
@@ -221,7 +229,6 @@ class SimNetwork : public Transport {
     SimTime at = 0;
     std::uint64_t sequence = 0;  // FIFO tie-break for equal timestamps
     bool is_delivery = false;
-    bool cancelled = false;  // set on a timer as it leaves its slot
     Datagram dgram;      // valid when is_delivery
     TimerHandler action; // valid otherwise
 
@@ -232,17 +239,15 @@ class SimNetwork : public Transport {
     Event& operator=(const Event&) = delete;
   };
   // What the heap actually sifts: a trivially-copyable stub pointing at the
-  // payload's slot. Heap swaps move 24 bytes instead of a full Event (whose
-  // std::function move is an indirect manager call per swap).
+  // payload's slot. Heap moves copy 24 bytes instead of a full Event (whose
+  // std::function move is an indirect manager call per move).
   struct EventRef {
     SimTime at;
     std::uint64_t sequence;
     std::uint32_t slot;
-  };
-  struct EventOrder {
-    bool operator()(const EventRef& a, const EventRef& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.sequence > b.sequence;
+
+    bool before(const EventRef& other) const {
+      return at != other.at ? at < other.at : sequence < other.sequence;
     }
   };
   // A fault rule plus its mutable burst state.
@@ -259,12 +264,15 @@ class SimNetwork : public Transport {
   // Queue an event; returns the slot that holds it.
   std::uint32_t push_event(Event event);
   // Remove and return the earliest event (the (at, sequence) order is total,
-  // so the heap pop is deterministic). A timer leaves with `cancelled` set
-  // unless it was still live; either way its id is stale from here on.
+  // so the heap pop is deterministic). A timer's id is stale from here on.
   Event pop_event();
-  // Fire one drained event; returns false for a cancelled timer (which does
-  // not count as processed).
-  bool fire_event(Event& event);
+  // Heap maintenance: each slot records where its EventRef sits, so that
+  // cancel() can take a timer out of the middle.
+  void heap_place(std::size_t index, const EventRef& ref);
+  void heap_sift_up(std::size_t index);
+  void heap_sift_down(std::size_t index);
+  void heap_remove(std::size_t index);
+  void fire_event(Event& event);
   // Evaluate one fault rule against a datagram about to be queued. Returns
   // false when the datagram is dropped; otherwise accumulates extra latency
   // and the mutation flags.
@@ -277,21 +285,26 @@ class SimNetwork : public Transport {
   void maybe_inject_attack(const Datagram& query);
 
   SimTime now_ = 0;
+  // Latest due time of a timer cancelled while queued (see cancel()).
+  SimTime cancelled_horizon_ = 0;
   std::uint64_t next_sequence_ = 1;
   // Binary min-heap on (at, sequence). The (at, sequence) order is total, so
   // pop order — and therefore the simulation — is independent of slot
-  // numbering. Payloads live in slots_ and are reused via a free list.
+  // numbering and of which cancelled events left early. Payloads live in
+  // slots_ and are reused via a free list.
   std::vector<EventRef> events_;
   std::vector<Event> slots_;
   std::vector<std::uint32_t> free_slots_;
-  // Per-slot timer state, parallel to slots_: the generation of the slot's
-  // latest timer and whether that timer is still live (scheduled, neither
-  // fired nor cancelled). See schedule() for the id contract.
-  struct SlotTimer {
+  // Per-slot state, parallel to slots_: where the slot's event sits in the
+  // heap, the generation of the slot's latest timer, and whether that timer
+  // is still live (scheduled, neither fired nor cancelled). See schedule()
+  // for the id contract.
+  struct SlotState {
+    std::uint32_t heap_index = 0;
     std::uint32_t generation = 0;
     bool live = false;
   };
-  std::vector<SlotTimer> slot_timers_;
+  std::vector<SlotState> slot_state_;
   std::size_t live_timers_ = 0;
   std::unordered_map<IpAddress, DatagramHandler, IpAddressHash> handlers_;
   std::unordered_map<IpAddress, FaultRule, IpAddressHash> faults_to_;

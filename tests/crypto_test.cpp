@@ -7,6 +7,7 @@
 #include "base/encoding.hpp"
 #include "base/rng.hpp"
 #include "crypto/ed25519.hpp"
+#include "crypto/ed25519_scalar.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sha2.hpp"
 
@@ -252,6 +253,240 @@ TEST_P(Ed25519RandomRoundTrip, SignVerifyRandomMessages) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Ed25519RandomRoundTrip, ::testing::Range(1, 9));
+
+// --- Ed25519 byte identity ---------------------------------------------------
+// Ed25519 is deterministic, so a kernel rewrite must reproduce every key,
+// signature and verdict. The digests below were taken from the byte-wise
+// reduction, double-and-add implementation the current kernels replaced.
+
+Ed25519Seed seed_from(Rng& rng) {
+  Ed25519Seed seed;
+  const Bytes bytes = rng.bytes(seed.size());
+  std::copy(bytes.begin(), bytes.end(), seed.begin());
+  return seed;
+}
+
+template <std::size_t N>
+void flip_bit(std::array<std::uint8_t, N>& bytes, std::size_t from, Rng& rng) {
+  bytes[from + rng.next_below(N - from)] ^=
+      static_cast<std::uint8_t>(1u << rng.next_below(8));
+}
+
+TEST(Ed25519Golden, KeysSignaturesAndVerdictsMatchDigest) {
+  // Per (seed, message): A, the signature, and the verdicts on it intact and
+  // with one bit flipped in R, in S, in A and in the message.
+  Rng rng(8032);
+  Sha256 digest;
+  std::size_t accepted = 0;
+  for (int i = 0; i < 256; ++i) {
+    const Ed25519Seed seed = seed_from(rng);
+    Bytes message = rng.bytes(rng.next_below(200));
+    const Ed25519PublicKey pk = ed25519_public_key(seed);
+    const Ed25519Signature sig = ed25519_sign(seed, pk, message);
+    Ed25519Signature bad_r = sig;
+    flip_bit(bad_r, 0, rng);
+    Ed25519Signature bad_s = sig;
+    flip_bit(bad_s, 32, rng);
+    Ed25519PublicKey bad_key = pk;
+    flip_bit(bad_key, 0, rng);
+    const std::uint8_t verdicts[5] = {
+        ed25519_verify(pk, message, sig),
+        ed25519_verify(pk, message, bad_r),
+        ed25519_verify(pk, message, bad_s),
+        ed25519_verify(bad_key, message, sig),
+        [&] {
+          if (message.empty()) {
+            message.push_back(0);
+          } else {
+            message[rng.next_below(message.size())] ^= 0x10;
+          }
+          return ed25519_verify(pk, message, sig);
+        }()};
+    for (std::uint8_t v : verdicts) accepted += v;
+    digest.update(BytesView(pk.data(), pk.size()));
+    digest.update(BytesView(sig.data(), sig.size()));
+    digest.update(BytesView(verdicts, sizeof verdicts));
+  }
+  EXPECT_EQ(accepted, 256u);  // each intact signature, nothing tampered
+  EXPECT_EQ(hex_of(digest.finish()),
+            "97ecb238afc325f0c89c03fcafe3a23c7ff8795705d005c7bfa40da8349e13de");
+}
+
+TEST(Ed25519Golden, SmallOrderKeysMatchDigest) {
+  // A of small order, R of small order, S = 0: the check point is -[k]A,
+  // so some of these verify, and which ones depends on [k]A being exact for
+  // points outside the prime-order group.
+  const char* const kKeys[] = {
+      // The eight points of order dividing 8, canonically encoded.
+      "0100000000000000000000000000000000000000000000000000000000000000",
+      "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "0000000000000000000000000000000000000000000000000000000000000000",
+      "0000000000000000000000000000000000000000000000000000000000000080",
+      "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+      "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+      "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+      "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+      // y = p and y = p + 1: non-canonical spellings of two of them.
+      "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+  };
+  constexpr std::size_t kCanonical = 8;
+  std::vector<Ed25519PublicKey> keys;
+  for (const char* hex : kKeys) {
+    const Bytes b = from_hex(hex);
+    keys.emplace_back();
+    std::copy(b.begin(), b.end(), keys.back().begin());
+  }
+  Sha256 digest;
+  std::size_t accepted = 0;
+  for (const Ed25519PublicKey& a : keys) {
+    for (std::size_t r = 0; r < kCanonical; ++r) {
+      for (int m = 0; m < 4; ++m) {
+        Ed25519Signature sig{};
+        std::copy(keys[r].begin(), keys[r].end(), sig.begin());
+        const Bytes message = to_bytes("small order " + std::to_string(m));
+        const std::uint8_t verdict = ed25519_verify(a, message, sig);
+        accepted += verdict;
+        digest.update(BytesView(&verdict, 1));
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(hex_of(digest.finish()),
+            "a0bb74711873a514d650715da963d9ab39008fd7664cbd49c08702d9dbcae76c");
+}
+
+// --- Scalar arithmetic mod L (crypto/ed25519_scalar.hpp) ---------------------
+
+using Wide = std::array<std::uint8_t, 64>;
+
+// x * y + z over little-endian byte strings; the caller keeps it below 2^512.
+Wide wide_muladd(BytesView x, BytesView y, BytesView z) {
+  std::array<std::uint64_t, 64> column{};
+  for (std::size_t i = 0; i < z.size(); ++i) column[i] += z[i];
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    for (std::size_t j = 0; j < y.size(); ++j) column[i + j] += x[i] * y[j];
+  }
+  Wide out;
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    carry += column[i];
+    out[i] = static_cast<std::uint8_t>(carry);
+    carry >>= 8;
+  }
+  return out;
+}
+
+// Reference reduction: long division by L one bit at a time, on bytes.
+std::array<std::uint8_t, 32> reference_mod_l(const Wide& x) {
+  std::array<std::uint8_t, 33> r{};  // r < L, so 2r + 1 fits
+  for (std::size_t bit = x.size() * 8; bit-- > 0;) {
+    unsigned carry = (x[bit / 8] >> (bit % 8)) & 1;
+    for (auto& byte : r) {
+      const unsigned v = byte * 2u + carry;
+      byte = static_cast<std::uint8_t>(v);
+      carry = v >> 8;
+    }
+    bool at_least_l = true;
+    for (std::size_t i = r.size(); i-- > 0;) {
+      const std::uint8_t l = i < 32 ? kGroupOrder[i] : 0;
+      if (r[i] != l) {
+        at_least_l = r[i] > l;
+        break;
+      }
+    }
+    if (!at_least_l) continue;
+    int borrow = 0;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      const int v = r[i] - (i < 32 ? kGroupOrder[i] : 0) - borrow;
+      r[i] = static_cast<std::uint8_t>(v);
+      borrow = v < 0;
+    }
+  }
+  std::array<std::uint8_t, 32> out;
+  std::copy(r.begin(), r.begin() + 32, out.begin());
+  return out;
+}
+
+std::array<std::uint8_t, 32> barrett_mod_l(const Wide& x) {
+  std::array<std::uint8_t, 32> out;
+  ed25519_detail::scalar_reduce(out.data(), x.data());
+  return out;
+}
+
+const BytesView kL(kGroupOrder, 32);
+
+Wide wide_of(const Bytes& bytes) {
+  Wide w{};
+  std::copy(bytes.begin(), bytes.end(), w.begin());
+  return w;
+}
+
+TEST(ScalarModL, EdgeValuesReduceLikeLongDivision) {
+  const Bytes one = {1}, two = {2};
+  Wide l_minus_1 = wide_muladd(kL, one, {});
+  l_minus_1[0] -= 1;  // L's low byte is 0xed: no borrow
+  Wide two_l_minus_1 = wide_muladd(kL, two, {});
+  two_l_minus_1[0] -= 1;
+  Wide max;
+  max.fill(0xff);
+  const struct {
+    const char* name;
+    Wide value;
+    Wide expected;
+  } cases[] = {
+      {"0", Wide{}, Wide{}},
+      {"1", wide_of(one), wide_of(one)},
+      {"L-1", l_minus_1, l_minus_1},
+      {"L", wide_muladd(kL, one, {}), Wide{}},
+      {"L+1", wide_muladd(kL, one, one), wide_of(one)},
+      {"2L-1", two_l_minus_1, l_minus_1},
+      {"2^512-1", max,
+       wide_of(from_hex("000f9c44e31106a447938568a71b0ed0"
+                        "65bef517d273ecce3d9a307c1b419903"))},
+  };
+  for (const auto& c : cases) {
+    const auto reference = reference_mod_l(c.value);
+    EXPECT_TRUE(std::equal(reference.begin(), reference.end(),
+                           c.expected.begin()))
+        << c.name;
+    EXPECT_EQ(barrett_mod_l(c.value), reference) << c.name;
+  }
+}
+
+TEST(ScalarModL, RandomMultiplesOfLPlusRemainder) {
+  Rng rng(252);
+  for (int i = 0; i < 300; ++i) {
+    // q < 2^256 and r < 2^252 < L, so q * L + r < 2^510 reduces to r.
+    const Bytes q = rng.bytes(32);
+    Bytes r = rng.bytes(32);
+    r[31] &= 0x0f;
+    const Wide x = wide_muladd(q, kL, r);
+    const auto reduced = barrett_mod_l(x);
+    EXPECT_TRUE(std::equal(reduced.begin(), reduced.end(), r.begin())) << i;
+    EXPECT_EQ(reduced, reference_mod_l(x)) << i;
+    // Any 512-bit string, too.
+    Wide any;
+    const Bytes bytes = rng.bytes(any.size());
+    std::copy(bytes.begin(), bytes.end(), any.begin());
+    EXPECT_EQ(barrett_mod_l(any), reference_mod_l(any)) << i;
+  }
+}
+
+TEST(ScalarModL, MulAddMatchesLongDivision) {
+  Rng rng(253);
+  for (int i = 0; i < 300; ++i) {
+    Bytes a = rng.bytes(32), b = rng.bytes(32), c = rng.bytes(32);
+    if (i == 0) {  // the largest inputs: (2^256 - 1)^2 + 2^256 - 1
+      std::fill(a.begin(), a.end(), 0xff);
+      std::fill(b.begin(), b.end(), 0xff);
+      std::fill(c.begin(), c.end(), 0xff);
+    }
+    std::array<std::uint8_t, 32> out;
+    ed25519_detail::scalar_muladd(out.data(), a.data(), b.data(), c.data());
+    EXPECT_EQ(out, reference_mod_l(wide_muladd(a, b, c))) << i;
+  }
+}
 
 // --- Ed25519 verification memo (DESIGN.md §14.5) -----------------------------
 // Each case first leaves an outcome in the calling thread's memo, then makes

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 
+#include "base/rng.hpp"
 #include "net/address.hpp"
 #include "net/simnet.hpp"
 
@@ -235,7 +238,7 @@ TEST(SimNetwork, CancelOfStaleCancelledTimerIdDoesNothing) {
   auto cancelled_id = net.schedule(5, [&] { ++fired; });
   net.cancel(cancelled_id);
   EXPECT_EQ(net.timer_bookkeeping_size(), 0u);
-  net.run();  // drains the cancelled event and frees its slot
+  net.run();  // nothing to fire: cancel() already freed the slot
   EXPECT_EQ(fired, 0);
   auto reused_id = net.schedule(5, [&] { ++fired; });
   net.cancel(cancelled_id);  // twice stale: cancelled, then slot reused
@@ -275,6 +278,92 @@ TEST(SimNetwork, TimerIdsStayDistinctAcrossSlotReuse) {
   // Unknown ids, including 0 and slots never handed out, are no-ops.
   net.cancel(0);
   net.cancel(std::uint64_t{7} << 32 | 12345);
+  EXPECT_EQ(net.timer_bookkeeping_size(), 0u);
+}
+
+// cancel() takes the timer out of the queue at once and drops its handler.
+TEST(SimNetwork, CancelDestroysTheHandlerImmediately) {
+  SimNetwork net(1);
+  auto token = std::make_shared<int>(0);
+  auto id = net.schedule(10, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  net.cancel(id);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(net.run(), 0u);
+  EXPECT_EQ(*token, 0);
+}
+
+// A drained run() ends at the latest due time of a cancelled timer, as if
+// the cancelled timers had stayed queued and expired unfired.
+TEST(SimNetwork, DrainedRunEndsAtLastCancelledDueTime) {
+  SimNetwork net(1);
+  net.schedule(10, [] {});
+  net.cancel(net.schedule(2 * kSecond, [] {}));
+  net.cancel(net.schedule(5, [] {}));
+  EXPECT_EQ(net.run(), 1u);
+  EXPECT_EQ(net.now(), 2 * kSecond);
+
+  // A cancelled due time already passed leaves the clock where it is.
+  net.schedule(3 * kSecond, [] {});
+  EXPECT_EQ(net.run(), 1u);
+  EXPECT_EQ(net.now(), 5 * kSecond);
+}
+
+TEST(SimNetwork, CappedRunDoesNotJumpToCancelledDueTime) {
+  SimNetwork net(1);
+  net.schedule(10, [] {});
+  net.schedule(20, [] {});
+  net.cancel(net.schedule(100, [] {}));
+  // The queue is empty after the second event, but the cap stopped the run.
+  EXPECT_EQ(net.run(2), 2u);
+  EXPECT_EQ(net.now(), 20u);
+  EXPECT_EQ(net.run(0), 0u);
+  EXPECT_EQ(net.now(), 20u);
+  EXPECT_EQ(net.run(), 0u);
+  EXPECT_EQ(net.now(), 100u);
+}
+
+// Cancels from outside and from inside handlers, in the middle of a large
+// queue, never disturb the (due time, schedule order) firing order.
+TEST(SimNetwork, CancelKeepsFiringOrderOverManyTimers) {
+  SimNetwork net(1);
+  Rng rng(42);
+  struct Timer {
+    SimTime at;
+    std::uint64_t id;
+    bool cancelled;
+  };
+  std::vector<Timer> timers;
+  std::vector<std::size_t> fired;
+  auto cancel_one = [&](std::size_t victim) {
+    if (timers[victim].cancelled) return;
+    timers[victim].cancelled = true;
+    net.cancel(timers[victim].id);
+  };
+  for (std::size_t i = 0; i < 2000; ++i) {
+    const SimTime delay = rng.next_below(500);
+    const std::size_t victim = rng.next_below(2000);
+    timers.push_back({delay, net.schedule(delay, [&, i, victim] {
+                        fired.push_back(i);
+                        // Cancel a timer still queued, if it is one.
+                        if (victim < timers.size() &&
+                            timers[victim].at > net.now()) {
+                          cancel_one(victim);
+                        }
+                      }),
+                      false});
+    if (i % 3 == 0) cancel_one(rng.next_below(timers.size()));
+  }
+  net.run();
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i < timers.size(); ++i) {
+    if (!timers[i].cancelled) expected.push_back(i);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return timers[a].at < timers[b].at;
+                   });
+  EXPECT_EQ(fired, expected);
   EXPECT_EQ(net.timer_bookkeeping_size(), 0u);
 }
 
