@@ -11,9 +11,11 @@
 namespace dnsboot::crypto {
 namespace {
 
+using ed25519_detail::load64_le;
 using ed25519_detail::scalar_below_l;
 using ed25519_detail::scalar_muladd;
 using ed25519_detail::scalar_reduce;
+using ed25519_detail::store64_le;
 using U128 = ed25519_detail::U128;
 
 // ---------------------------------------------------------------------------
@@ -216,20 +218,12 @@ void fe_tobytes(std::uint8_t out[32], const Fe& a) {
   packed[1] = (r.v[1] >> 13) | (r.v[2] << 38);
   packed[2] = (r.v[2] >> 26) | (r.v[3] << 25);
   packed[3] = (r.v[3] >> 39) | (r.v[4] << 12);
-  for (int i = 0; i < 4; ++i) {
-    for (int b = 0; b < 8; ++b) {
-      out[8 * i + b] = static_cast<std::uint8_t>(packed[i] >> (8 * b));
-    }
-  }
+  for (int i = 0; i < 4; ++i) store64_le(out + 8 * i, packed[i]);
 }
 
 Fe fe_frombytes(const std::uint8_t in[32]) {
   std::uint64_t w[4];
-  for (int i = 0; i < 4; ++i) {
-    std::uint64_t v = 0;
-    for (int b = 7; b >= 0; --b) v = v << 8 | in[8 * i + b];
-    w[i] = v;
-  }
+  for (int i = 0; i < 4; ++i) w[i] = load64_le(in + 8 * i);
   Fe r;
   r.v[0] = w[0] & kMask51;
   r.v[1] = (w[0] >> 51 | w[1] << 13) & kMask51;
