@@ -15,42 +15,45 @@
 #include "crypto/ed25519.hpp"
 #include "crypto/sha2.hpp"
 
-using namespace dnsboot;
-using namespace dnsboot::crypto;
+namespace crypto = dnsboot::crypto;
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  Ed25519PublicKey key{};
-  Ed25519Signature signature{};
+  crypto::Ed25519PublicKey key{};
+  crypto::Ed25519Signature signature{};
   const std::size_t key_bytes = std::min(size, key.size());
   std::copy(data, data + key_bytes, key.begin());
   const std::size_t signature_bytes =
       std::min(size - key_bytes, signature.size());
   std::copy(data + key_bytes, data + key_bytes + signature_bytes,
             signature.begin());
-  const BytesView message(data + key_bytes + signature_bytes,
-                          size - key_bytes - signature_bytes);
+  const dnsboot::BytesView message(data + key_bytes + signature_bytes,
+                                   size - key_bytes - signature_bytes);
 
-  const bool verdict = ed25519_verify(key, message, signature);
-  if (ed25519_verify(key, message, signature) != verdict) std::abort();
+  const bool verdict = crypto::ed25519_verify(key, message, signature);
+  if (crypto::ed25519_verify(key, message, signature) != verdict) {
+    std::abort();
+  }
 
   // The seed is a hash of the whole input; its bytes also pick the flips.
-  const Ed25519Seed seed = Sha256::digest(BytesView(data, size));
-  const Ed25519PublicKey public_key = ed25519_public_key(seed);
-  const Ed25519Signature good = ed25519_sign(seed, public_key, message);
-  if (!ed25519_verify(public_key, message, good)) std::abort();
+  const crypto::Ed25519Seed seed =
+      crypto::Sha256::digest(dnsboot::BytesView(data, size));
+  const crypto::Ed25519PublicKey public_key = crypto::ed25519_public_key(seed);
+  const crypto::Ed25519Signature good =
+      crypto::ed25519_sign(seed, public_key, message);
+  if (!crypto::ed25519_verify(public_key, message, good)) std::abort();
   const auto bit = [&](std::size_t i) {
     return static_cast<std::uint8_t>(1u << (seed[i] % 8));
   };
-  Ed25519Signature bad_r = good;
+  crypto::Ed25519Signature bad_r = good;
   bad_r[seed[0] % 32] ^= bit(1);
-  Ed25519Signature bad_s = good;
+  crypto::Ed25519Signature bad_s = good;
   bad_s[32 + seed[2] % 32] ^= bit(3);
-  Ed25519PublicKey bad_key = public_key;
+  crypto::Ed25519PublicKey bad_key = public_key;
   bad_key[seed[4] % 32] ^= bit(5);
-  if (ed25519_verify(public_key, message, bad_r) ||
-      ed25519_verify(public_key, message, bad_s) ||
-      ed25519_verify(bad_key, message, good)) {
+  if (crypto::ed25519_verify(public_key, message, bad_r) ||
+      crypto::ed25519_verify(public_key, message, bad_s) ||
+      crypto::ed25519_verify(bad_key, message, good)) {
     std::abort();
   }
   return 0;

@@ -218,12 +218,12 @@ void fe_tobytes(std::uint8_t out[32], const Fe& a) {
   packed[1] = (r.v[1] >> 13) | (r.v[2] << 38);
   packed[2] = (r.v[2] >> 26) | (r.v[3] << 25);
   packed[3] = (r.v[3] >> 39) | (r.v[4] << 12);
-  for (int i = 0; i < 4; ++i) store64_le(out + 8 * i, packed[i]);
+  for (std::size_t i = 0; i < 4; ++i) store64_le(out + 8 * i, packed[i]);
 }
 
 Fe fe_frombytes(const std::uint8_t in[32]) {
   std::uint64_t w[4];
-  for (int i = 0; i < 4; ++i) w[i] = load64_le(in + 8 * i);
+  for (std::size_t i = 0; i < 4; ++i) w[i] = load64_le(in + 8 * i);
   Fe r;
   r.v[0] = w[0] & kMask51;
   r.v[1] = (w[0] >> 51 | w[1] << 13) & kMask51;
@@ -491,7 +491,7 @@ Point point_scalarmult_base(const std::uint8_t scalar_le[32]) {
 // four doublings, the first three without T.
 Point point_scalarmult(const Point& p, const std::uint8_t k_le[32]) {
   int digit[64];
-  for (int i = 0; i < 32; ++i) {
+  for (std::size_t i = 0; i < 32; ++i) {
     digit[2 * i] = k_le[i] & 15;
     digit[2 * i + 1] = k_le[i] >> 4;
   }

@@ -9,6 +9,7 @@
 // 2^512 reduces to [0, L) after at most two final subtractions of L.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace dnsboot::crypto::ed25519_detail {
@@ -43,7 +44,7 @@ inline bool limbs_below_l(const std::uint64_t s[4]) {
 // True when the 32-byte scalar s is below L (RFC 8032 §5.1.7's S check).
 inline bool scalar_below_l(const std::uint8_t s[32]) {
   std::uint64_t limbs[4];
-  for (int i = 0; i < 4; ++i) limbs[i] = load64_le(s + 8 * i);
+  for (std::size_t i = 0; i < 4; ++i) limbs[i] = load64_le(s + 8 * i);
   return limbs_below_l(limbs);
 }
 
@@ -93,13 +94,13 @@ inline void barrett_reduce(std::uint8_t out[32], const std::uint64_t x[8]) {
       borrow = static_cast<std::uint64_t>(t >> 64) & 1;
     }
   }
-  for (int i = 0; i < 4; ++i) store64_le(out + 8 * i, r[i]);
+  for (std::size_t i = 0; i < 4; ++i) store64_le(out + 8 * i, r[i]);
 }
 
 // r = h mod L for a 64-byte little-endian h (a SHA-512 output).
 inline void scalar_reduce(std::uint8_t r[32], const std::uint8_t h[64]) {
   std::uint64_t x[8];
-  for (int i = 0; i < 8; ++i) x[i] = load64_le(h + 8 * i);
+  for (std::size_t i = 0; i < 8; ++i) x[i] = load64_le(h + 8 * i);
   barrett_reduce(r, x);
 }
 
@@ -108,12 +109,12 @@ inline void scalar_reduce(std::uint8_t r[32], const std::uint8_t h[64]) {
 inline void scalar_muladd(std::uint8_t r[32], const std::uint8_t a[32],
                           const std::uint8_t b[32], const std::uint8_t c[32]) {
   std::uint64_t al[4], bl[4];
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     al[i] = load64_le(a + 8 * i);
     bl[i] = load64_le(b + 8 * i);
   }
   std::uint64_t x[8] = {};
-  for (int i = 0; i < 4; ++i) x[i] = load64_le(c + 8 * i);
+  for (std::size_t i = 0; i < 4; ++i) x[i] = load64_le(c + 8 * i);
   for (int i = 0; i < 4; ++i) {
     std::uint64_t carry = 0;
     for (int j = 0; j < 4; ++j) {

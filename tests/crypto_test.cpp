@@ -365,7 +365,9 @@ Wide wide_muladd(BytesView x, BytesView y, BytesView z) {
   std::array<std::uint64_t, 64> column{};
   for (std::size_t i = 0; i < z.size(); ++i) column[i] += z[i];
   for (std::size_t i = 0; i < x.size(); ++i) {
-    for (std::size_t j = 0; j < y.size(); ++j) column[i + j] += x[i] * y[j];
+    for (std::size_t j = 0; j < y.size(); ++j) {
+      column[i + j] += static_cast<std::uint64_t>(x[i]) * y[j];
+    }
   }
   Wide out;
   std::uint64_t carry = 0;
