@@ -202,7 +202,8 @@ void BM_Ed25519PublicKey(benchmark::State& state) {
   std::copy(start.begin(), start.end(), seed.begin());
   for (auto _ : state) {
     ++seed[0];
-    benchmark::DoNotOptimize(crypto::ed25519_public_key(seed));
+    benchmark::DoNotOptimize(
+        crypto::ed25519_public_key(crypto::ed25519_expand_seed(seed)));
   }
 }
 BENCHMARK(BM_Ed25519PublicKey);

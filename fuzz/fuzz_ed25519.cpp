@@ -38,9 +38,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // The seed is a hash of the whole input; its bytes also pick the flips.
   const crypto::Ed25519Seed seed =
       crypto::Sha256::digest(dnsboot::BytesView(data, size));
-  const crypto::Ed25519PublicKey public_key = crypto::ed25519_public_key(seed);
+  const crypto::Ed25519SecretKey secret = crypto::ed25519_expand_seed(seed);
+  const crypto::Ed25519PublicKey public_key = crypto::ed25519_public_key(secret);
   const crypto::Ed25519Signature good =
-      crypto::ed25519_sign(seed, public_key, message);
+      crypto::ed25519_sign(secret, public_key, message);
   if (!crypto::ed25519_verify(public_key, message, good)) std::abort();
   const auto bit = [&](std::size_t i) {
     return static_cast<std::uint8_t>(1u << (seed[i] % 8));

@@ -166,7 +166,7 @@ fi
 for name in dnsboot_monitor_probes_total dnsboot_monitor_batches_total \
     dnsboot_monitor_journal_appended_total dnsboot_monitor_zones_tracked \
     dnsboot_monitor_transitions_total dnsboot_namepool_names \
-    dnsboot_namepool_bytes; do
+    dnsboot_namepool_bytes dnsboot_namepool_live_bytes; do
   if ! grep -q "^$name\|^# TYPE $name " "$workdir/exposition.txt"; then
     echo "monitor_smoke: FAIL — $name missing from /metrics" >&2
     cat "$workdir/exposition.txt" >&2

@@ -84,7 +84,7 @@ SurveyRunResult run_survey(net::Transport& network,
   // Analysis phase: validate + classify offline, as the paper does from its
   // stored DNS messages.
   const net::SimTime analysis_started = network.now();
-  TrustContext trust(scanner.infrastructure(), eco.hints.trust_anchor,
+  TrustContext trust(*scanner.take_infrastructure(), eco.hints.trust_anchor,
                      eco.now);
   OperatorIdentifier operators{
       std::map<std::string, std::string>(eco.ns_domain_to_operator)};

@@ -8,10 +8,17 @@
 // arena's contents are immutable and live as long as the arena itself, so a
 // std::string_view into an arena stays valid for the arena's lifetime.
 //
+// Chunks are left uninitialised and grow with the contents: the first is
+// one 4 KiB page and each later one is as large as all chunks before it, up
+// to the chunk size, so the reservation doubles per chunk and stays within
+// about twice the bytes handed out. Pages no allocation has written yet are
+// never made resident.
+//
 // Not thread-safe: callers that share an arena across threads guard it with
 // their own mutex (the name pool shards do exactly this).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -22,8 +29,8 @@ namespace dnsboot::base {
 
 class Arena {
  public:
-  // `chunk_bytes` is the default chunk size; allocations larger than a chunk
-  // get a dedicated chunk of exactly their size.
+  // `chunk_bytes` caps the chunk size; allocations larger than a chunk get a
+  // dedicated chunk of exactly their size.
   explicit Arena(std::size_t chunk_bytes = 64 * 1024)
       : chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes) {}
 
@@ -57,9 +64,16 @@ class Arena {
   std::size_t chunk_count() const { return chunks_.size(); }
 
  private:
+  static constexpr std::size_t kFirstChunkBytes = 4 * 1024;
+
   void grow(std::size_t n) {
-    std::size_t size = n > chunk_bytes_ ? n : chunk_bytes_;
-    chunks_.push_back(std::make_unique<char[]>(size));
+    // Doubles the reservation, capped at chunk_bytes_; a request the step
+    // cannot hold gets a chunk of exactly its size.
+    const std::size_t step =
+        std::clamp(bytes_reserved_, std::min(kFirstChunkBytes, chunk_bytes_),
+                   chunk_bytes_);
+    const std::size_t size = std::max(n, step);
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(size));
     cursor_ = chunks_.back().get();
     cursor_end_ = cursor_ + size;
     bytes_reserved_ += size;

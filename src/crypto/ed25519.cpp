@@ -531,20 +531,6 @@ void clamp(std::uint8_t scalar[32]) {
   scalar[31] |= 64;
 }
 
-struct ExpandedSecret {
-  std::uint8_t scalar[32];
-  std::uint8_t prefix[32];
-};
-
-ExpandedSecret expand_seed(const Ed25519Seed& seed) {
-  auto h = Sha512::digest(BytesView(seed.data(), seed.size()));
-  ExpandedSecret out;
-  std::memcpy(out.scalar, h.data(), 32);
-  std::memcpy(out.prefix, h.data() + 32, 32);
-  clamp(out.scalar);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Verification memo (DESIGN.md §14.5). For S < L the verification equation
 // reads the message only through k = SHA512(R || A || M) mod L, so its
@@ -622,23 +608,30 @@ bool verify_equation(const VerifyMemo::Key& key) {
 
 }  // namespace
 
-Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed) {
-  ExpandedSecret sec = expand_seed(seed);
-  Point a = point_scalarmult_base(sec.scalar);
+Ed25519SecretKey ed25519_expand_seed(const Ed25519Seed& seed) {
+  auto h = Sha512::digest(BytesView(seed.data(), seed.size()));
+  Ed25519SecretKey out;
+  std::memcpy(out.scalar.data(), h.data(), 32);
+  std::memcpy(out.prefix.data(), h.data() + 32, 32);
+  clamp(out.scalar.data());
+  return out;
+}
+
+Ed25519PublicKey ed25519_public_key(const Ed25519SecretKey& secret) {
+  Point a = point_scalarmult_base(secret.scalar.data());
   Ed25519PublicKey pk;
   point_encode(pk.data(), a);
   return pk;
 }
 
-Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
+Ed25519Signature ed25519_sign(const Ed25519SecretKey& secret,
                               const Ed25519PublicKey& public_key,
                               BytesView message) {
-  ExpandedSecret sec = expand_seed(seed);
   const Ed25519PublicKey& pk = public_key;
 
   // r = SHA512(prefix || M) mod L
   Sha512 hr;
-  hr.update(BytesView(sec.prefix, 32));
+  hr.update(BytesView(secret.prefix.data(), secret.prefix.size()));
   hr.update(message);
   auto r_full = hr.finish();
   std::uint8_t r[32];
@@ -658,7 +651,7 @@ Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
   scalar_reduce(k, k_full.data());
 
   // S = (r + k*s) mod L
-  scalar_muladd(sig.data() + 32, k, sec.scalar, r);
+  scalar_muladd(sig.data() + 32, k, secret.scalar.data(), r);
   return sig;
 }
 

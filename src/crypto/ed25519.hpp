@@ -29,13 +29,23 @@ using Ed25519Seed = std::array<std::uint8_t, kEd25519SeedSize>;
 using Ed25519PublicKey = std::array<std::uint8_t, kEd25519PublicKeySize>;
 using Ed25519Signature = std::array<std::uint8_t, kEd25519SignatureSize>;
 
-// Derive the public key for a 32-byte seed (RFC 8032 §5.1.5).
-Ed25519PublicKey ed25519_public_key(const Ed25519Seed& seed);
+// A seed's expansion (RFC 8032 §5.1.5): the clamped secret scalar and the
+// prefix that derives each signature's nonce. Signers hold keys long-term,
+// so expanding once saves one SHA-512 per signature.
+struct Ed25519SecretKey {
+  std::array<std::uint8_t, 32> scalar;
+  std::array<std::uint8_t, 32> prefix;
+};
+
+Ed25519SecretKey ed25519_expand_seed(const Ed25519Seed& seed);
+
+// Derive the public key (RFC 8032 §5.1.5).
+Ed25519PublicKey ed25519_public_key(const Ed25519SecretKey& secret);
 
 // Sign a message (RFC 8032 §5.1.6). `public_key` must equal
-// ed25519_public_key(seed): signers hold keys long-term, so deriving it once
-// saves one base-point multiplication per signature.
-Ed25519Signature ed25519_sign(const Ed25519Seed& seed,
+// ed25519_public_key(secret): deriving it once saves one base-point
+// multiplication per signature.
+Ed25519Signature ed25519_sign(const Ed25519SecretKey& secret,
                               const Ed25519PublicKey& public_key,
                               BytesView message);
 

@@ -4,8 +4,10 @@
 
 namespace dnsboot::crypto {
 
-KeyPair::KeyPair(Ed25519Seed seed, std::uint16_t flags)
-    : seed_(seed), public_key_(ed25519_public_key(seed)), flags_(flags) {}
+KeyPair::KeyPair(const Ed25519Seed& seed, std::uint16_t flags)
+    : secret_(ed25519_expand_seed(seed)),
+      public_key_(ed25519_public_key(secret_)),
+      flags_(flags) {}
 
 KeyPair KeyPair::generate(Rng& rng, std::uint16_t flags) {
   Ed25519Seed seed;
@@ -18,7 +20,7 @@ Bytes KeyPair::public_key() const {
 }
 
 Ed25519Signature KeyPair::sign(BytesView message) const {
-  return ed25519_sign(seed_, public_key_, message);
+  return ed25519_sign(secret_, public_key_, message);
 }
 
 bool KeyPair::verify(BytesView message, const Ed25519Signature& sig) const {

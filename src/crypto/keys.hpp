@@ -48,9 +48,9 @@ class KeyPair {
                           BytesView signature);
 
  private:
-  KeyPair(Ed25519Seed seed, std::uint16_t flags);
+  KeyPair(const Ed25519Seed& seed, std::uint16_t flags);
 
-  Ed25519Seed seed_;
+  Ed25519SecretKey secret_;
   Ed25519PublicKey public_key_;
   std::uint16_t flags_;
 };

@@ -208,9 +208,13 @@ void NamePool::export_gauges(obs::MetricsRegistry& registry) {
                     "distinct interned name spellings (process-global)");
   registry.set_help("dnsboot_namepool_bytes",
                     "arena bytes reserved for labels and order keys");
+  registry.set_help("dnsboot_namepool_live_bytes",
+                    "arena bytes holding labels and order keys");
   registry.gauge("dnsboot_namepool_names").set(static_cast<double>(s.entries));
   registry.gauge("dnsboot_namepool_bytes")
       .set(static_cast<double>(s.arena_bytes));
+  registry.gauge("dnsboot_namepool_live_bytes")
+      .set(static_cast<double>(s.live_bytes));
 }
 
 NamePool::Stats NamePool::stats() {
@@ -220,6 +224,7 @@ NamePool::Stats NamePool::stats() {
   for (Shard& shard : shards_) {
     base::MutexLock lock(shard.mutex);
     out.arena_bytes += shard.arena.bytes_reserved();
+    out.live_bytes += shard.arena.bytes_used();
   }
   return out;
 }

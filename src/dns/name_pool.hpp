@@ -81,13 +81,15 @@ class NamePool {
   struct Stats {
     std::uint64_t entries = 0;        // interned spellings (incl. root)
     std::uint64_t arena_bytes = 0;    // label + order-key bytes reserved
+    std::uint64_t live_bytes = 0;     // label + order-key bytes handed out
   };
   Stats stats();
 
-  // Publish stats() as the dnsboot_namepool_names / dnsboot_namepool_bytes
-  // gauges. A long-running monitor calls this after each batch: a flat
-  // curve over re-probes of a fixed population is the interning working
-  // (the pool is append-only, so growth == new spellings, never churn).
+  // Publish stats() as the dnsboot_namepool_names, dnsboot_namepool_bytes
+  // (reserved) and dnsboot_namepool_live_bytes gauges. A long-running
+  // monitor calls this after each batch: a flat curve over re-probes of a
+  // fixed population is the interning working (the pool is append-only, so
+  // growth == new spellings, never churn).
   void export_gauges(obs::MetricsRegistry& registry);
 
   // Build the canonical order key for a flat label sequence: labels in

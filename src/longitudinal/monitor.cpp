@@ -136,7 +136,7 @@ void Monitor::flush_batch() {
   scanner::ScannerOptions scan_options = options_.scanner;
   scan_options.seed =
       rng_.fork("batch:" + format_tag_u64(batch->seq)).next_u64();
-  scan_options.infrastructure = have_infra_ ? &infra_ : nullptr;
+  scan_options.infrastructure = infra_;
   batch->scanner = std::make_unique<scanner::Scanner>(network_, engine_,
                                                       resolver_, scan_options);
   batch->observations.reserve(batch->zones.size());
@@ -163,16 +163,15 @@ void Monitor::finish_batch(std::uint64_t seq) {
   std::shared_ptr<Batch> batch = std::move(it->second);
   active_batches_.erase(it);
 
-  // Adopt the batch's infrastructure (superset of ours: newly seen TLDs
-  // were captured on demand) for the next batch's hand-off. The scanner is
-  // done, so its snapshot moves rather than copies: each batch copies the
-  // snapshot once, when its scanner adopts it.
+  // Adopt the batch's infrastructure for the next batch's hand-off: the
+  // snapshot the batch started from plus the TLDs it captured on demand.
+  // Only a batch that captured a TLD makes a new snapshot; the others hand
+  // back the one they shared.
   infra_ = batch->scanner->take_infrastructure();
-  have_infra_ = true;
   batch->scanner.reset();
-  if (!trust_.has_value() || infra_.tlds.size() != trust_tld_count_) {
-    trust_.emplace(infra_, eco_.hints.trust_anchor, eco_.now);
-    trust_tld_count_ = infra_.tlds.size();
+  if (!trust_.has_value() || infra_->tlds.size() != trust_tld_count_) {
+    trust_.emplace(*infra_, eco_.hints.trust_anchor, eco_.now);
+    trust_tld_count_ = infra_->tlds.size();
   }
 
   // Observations complete in network-timing order; canonical zone order

@@ -142,10 +142,10 @@ class Monitor {
   std::uint64_t batch_seq_ = 0;
   std::map<std::uint64_t, std::shared_ptr<Batch>> active_batches_;
 
-  // Infrastructure hand-off across batches (satellite: Scanner adopts this
-  // instead of re-capturing root/TLD state every batch).
-  scanner::InfrastructureSnapshot infra_;
-  bool have_infra_ = false;
+  // Infrastructure hand-off across batches: each batch's Scanner adopts
+  // this read-only snapshot instead of re-capturing root/TLD state. Null
+  // until the first batch finishes.
+  std::shared_ptr<const scanner::InfrastructureSnapshot> infra_;
   // Cached trust context: rebuilding it re-validates every TLD chain
   // (crypto), so it is only redone when the snapshot actually grows.
   std::optional<analysis::TrustContext> trust_;

@@ -242,7 +242,7 @@ void CdsProcessor::process(const dns::Name& zone, Callback callback) {
           if (it == active_scans_.end()) return;
           std::shared_ptr<scanner::Scanner> owned = std::move(it->second);
           active_scans_.erase(it);
-          analysis::TrustContext trust(owned->infrastructure(),
+          analysis::TrustContext trust(*owned->take_infrastructure(),
                                        resolver_.hints().trust_anchor,
                                        config_.now);
           analysis::ZoneReport report =

@@ -134,16 +134,9 @@ Scanner::Scanner(net::Transport& network, resolver::QueryEngine& engine,
     : network_(network),
       engine_(engine),
       resolver_(resolver),
-      options_(options),
-      rng_(options.seed) {
-  if (options_.infrastructure != nullptr) {
-    infra_ = *options_.infrastructure;
-    root_capture_started_ = true;
-    for (const auto& [key, info] : infra_.tlds) {
-      tld_capture_started_.emplace(key, true);
-    }
-  }
-}
+      options_(std::move(options)),
+      rng_(options_.seed),
+      root_capture_started_(options_.infrastructure != nullptr) {}
 
 void Scanner::scan(std::vector<dns::Name> zones, ZoneCallback on_zone) {
   on_zone_ = std::move(on_zone);
@@ -175,19 +168,23 @@ void Scanner::capture_root_dnskey() {
                   RRsetProbe probe = make_probe_result(
                       root, resolver_.hints().servers[0], root,
                       dns::RRType::kDNSKEY, response);
-                  infra_.root_dnskey = probe.rrset;
+                  captured_.root_dnskey = probe.rrset;
                 });
 }
 
 void Scanner::capture_tld(const dns::Name& tld) {
   const std::string& key = tld.canonical_text();
+  if (options_.infrastructure != nullptr &&
+      options_.infrastructure->tlds.contains(key)) {
+    return;
+  }
   if (!tld_capture_started_.emplace(key, true).second) return;
   std::weak_ptr<int> alive = alive_;
   resolver_.resolve_zone(
       tld, [this, alive, tld, key](Result<resolver::Delegation> result) {
         if (alive.expired()) return;
         if (!result.ok() || result->endpoints.empty()) return;
-        infra_.tlds[key].ds = result->ds;
+        captured_.tlds[key].ds = result->ds;
         net::IpAddress server = result->endpoints[0].address;
         engine_.query(server, tld, dns::RRType::kDNSKEY,
                       [this, alive, tld, key,
@@ -196,9 +193,22 @@ void Scanner::capture_tld(const dns::Name& tld) {
                         RRsetProbe probe =
                             make_probe_result(tld, server, tld,
                                               dns::RRType::kDNSKEY, response);
-                        infra_.tlds[key].dnskey = probe.rrset;
+                        captured_.tlds[key].dnskey = probe.rrset;
                       });
       });
+}
+
+std::shared_ptr<const InfrastructureSnapshot> Scanner::take_infrastructure() {
+  const std::shared_ptr<const InfrastructureSnapshot>& adopted =
+      options_.infrastructure;
+  if (adopted == nullptr) {
+    return std::make_shared<const InfrastructureSnapshot>(
+        std::move(captured_));
+  }
+  if (captured_.tlds.empty()) return adopted;
+  auto merged = std::make_shared<InfrastructureSnapshot>(*adopted);
+  merged->tlds.merge(captured_.tlds);  // disjoint: covered TLDs never capture
+  return merged;
 }
 
 RRsetProbe Scanner::make_probe_result(const dns::Name& ns,

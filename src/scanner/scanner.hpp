@@ -31,11 +31,12 @@ struct ScannerOptions {
   std::uint64_t seed = 0x5ca11ab1e;
 
   // Pre-captured infrastructure hand-off (continuous monitoring): when set,
-  // the snapshot is adopted wholesale and the root-DNSKEY / already-covered
-  // TLD captures are skipped — a re-probe batch reuses the previous batch's
+  // the snapshot is adopted and the root-DNSKEY / already-covered TLD
+  // captures are skipped — a re-probe batch reuses the previous batch's
   // infrastructure instead of re-fetching it. TLDs absent from the snapshot
-  // are still captured on demand. Not owned; read in the constructor only.
-  const InfrastructureSnapshot* infrastructure = nullptr;
+  // are still captured on demand. Shared and read-only, so overlapping
+  // batches adopt one snapshot without copying it.
+  std::shared_ptr<const InfrastructureSnapshot> infrastructure;
 
   // Optional zone-lifecycle tracing (obs/trace.hpp): every started zone
   // scan is a sampling candidate; sampled ones record a "zone" span from
@@ -63,10 +64,10 @@ class Scanner {
   void run();
 
   const ScannerStats& stats() const { return stats_; }
-  const InfrastructureSnapshot& infrastructure() const { return infra_; }
-  // Move the snapshot out for the next batch's hand-off, leaving this
-  // scanner's empty. Only for a scanner whose scan is over.
-  InfrastructureSnapshot take_infrastructure() { return std::move(infra_); }
+  // The adopted snapshot plus this scan's captures: the adopted snapshot
+  // itself when the scan captured no TLD. Moves the captures out, so only
+  // for a scanner whose scan is over.
+  std::shared_ptr<const InfrastructureSnapshot> take_infrastructure();
   // The scanner's dnsboot_scanner_* counters and per-zone scan-duration
   // histogram; run_survey merges this into the survey-wide registry.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
@@ -119,7 +120,9 @@ class Scanner {
   ScannerStats stats_{metrics_};
   obs::Histogram& zone_histogram_{
       metrics_.histogram("dnsboot_scanner_zone_usec")};
-  InfrastructureSnapshot infra_;
+  // What this scan captured beyond options_.infrastructure: the root
+  // DNSKEY when nothing was adopted, and TLDs the adopted snapshot lacks.
+  InfrastructureSnapshot captured_;
   std::unordered_map<std::string, bool> tld_capture_started_;
   bool root_capture_started_ = false;
 

@@ -7,8 +7,12 @@
 #include "base/arena.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -87,6 +91,74 @@ TEST(ArenaTest, MoveKeepsViewsAlive) {
   }
   std::string_view fresh = moved.copy("fresh");
   EXPECT_EQ(fresh, "fresh");
+}
+
+// Resident set size from /proc/self/statm (second field, in pages).
+std::size_t resident_bytes() {
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return 0;
+  unsigned long size_pages = 0;
+  unsigned long resident_pages = 0;
+  const int fields = std::fscanf(statm, "%lu %lu", &size_pages,
+                                 &resident_pages);
+  std::fclose(statm);
+  if (fields != 2) return 0;
+  return static_cast<std::size_t>(resident_pages) *
+         static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(ArenaTest, FirstChunkIsOnePage) {
+  // A large chunk size caps growth; it is not what the first name pays.
+  Arena arena(256 * 1024);
+  EXPECT_EQ(arena.copy("example"), "example");
+  EXPECT_EQ(arena.chunk_count(), 1u);
+  EXPECT_LE(arena.bytes_reserved(), 4u * 1024);
+}
+
+TEST(ArenaTest, ReservationTracksUseAsChunksGrowPastTheCap) {
+  // Name-sized allocations (1..200 bytes): the reservation doubles per chunk
+  // up to the 16 KiB cap, then grows one cap at a time, and never runs
+  // ahead of twice the bytes handed out by more than the first page.
+  constexpr std::size_t kCap = 16 * 1024;
+  Arena arena(kCap);
+  std::size_t prev_reserved = 0;
+  std::size_t state = 12345;
+  while (arena.bytes_used() < 16 * kCap) {
+    state = state * 6364136223846793005u + 1442695040888963407u;
+    const std::size_t n = 1 + (state >> 33) % 200;
+    char* p = arena.allocate(n);
+    std::memset(p, 0x5a, n);
+    ASSERT_LE(arena.bytes_reserved(), 2 * arena.bytes_used() + 4 * 1024)
+        << "after " << arena.bytes_used() << " bytes";
+    ASSERT_LE(arena.bytes_reserved() - prev_reserved, kCap);
+    prev_reserved = arena.bytes_reserved();
+  }
+  EXPECT_GT(arena.chunk_count(), 16u);
+}
+
+TEST(ArenaTest, ChunkSizeAtOrBelowOnePageKeepsFixedChunks) {
+  // A 4 KiB arena (the monitor's history store) takes 4 KiB chunks only.
+  Arena arena(4 * 1024);
+  for (std::size_t i = 0; i < 2000; ++i) {
+    arena.copy(pattern_string(i, 1 + i % 50));
+  }
+  EXPECT_GT(arena.chunk_count(), 10u);
+  EXPECT_EQ(arena.bytes_reserved(), arena.chunk_count() * 4 * 1024);
+}
+
+TEST(ArenaTest, ChunksStayNonResidentUntilWritten) {
+  // 64 MiB is above glibc's largest dynamic mmap threshold (32 MiB), so the
+  // chunk always comes from fresh pages: only writes make them resident.
+  constexpr std::size_t kBytes = 64 * 1024 * 1024;
+  Arena arena;
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  char* p = arena.allocate(kBytes);
+  const std::size_t allocated = resident_bytes();
+  EXPECT_LT(allocated - std::min(allocated, before), kBytes / 4);
+  // The same reading sees the pages once they are written.
+  std::memset(p, 0x5a, kBytes);
+  EXPECT_GT(resident_bytes() - before, kBytes / 2);
 }
 
 TEST(ArenaTest, AccountingSumsAllocations) {

@@ -155,7 +155,8 @@ TEST_P(Ed25519Rfc8032, PublicKeyDerivation) {
   Ed25519Seed seed;
   auto seed_bytes = from_hex(v.seed);
   std::copy(seed_bytes.begin(), seed_bytes.end(), seed.begin());
-  EXPECT_EQ(hex_of(ed25519_public_key(seed)), v.public_key);
+  EXPECT_EQ(hex_of(ed25519_public_key(ed25519_expand_seed(seed))),
+            v.public_key);
 }
 
 TEST_P(Ed25519Rfc8032, SignatureMatchesVector) {
@@ -164,7 +165,8 @@ TEST_P(Ed25519Rfc8032, SignatureMatchesVector) {
   auto seed_bytes = from_hex(v.seed);
   std::copy(seed_bytes.begin(), seed_bytes.end(), seed.begin());
   Bytes msg = from_hex(v.message);
-  EXPECT_EQ(hex_of(ed25519_sign(seed, ed25519_public_key(seed), msg)),
+  const Ed25519SecretKey secret = ed25519_expand_seed(seed);
+  EXPECT_EQ(hex_of(ed25519_sign(secret, ed25519_public_key(secret), msg)),
             v.signature);
 }
 
@@ -281,8 +283,9 @@ TEST(Ed25519Golden, KeysSignaturesAndVerdictsMatchDigest) {
   for (int i = 0; i < 256; ++i) {
     const Ed25519Seed seed = seed_from(rng);
     Bytes message = rng.bytes(rng.next_below(200));
-    const Ed25519PublicKey pk = ed25519_public_key(seed);
-    const Ed25519Signature sig = ed25519_sign(seed, pk, message);
+    const Ed25519SecretKey secret = ed25519_expand_seed(seed);
+    const Ed25519PublicKey pk = ed25519_public_key(secret);
+    const Ed25519Signature sig = ed25519_sign(secret, pk, message);
     Ed25519Signature bad_r = sig;
     flip_bit(bad_r, 0, rng);
     Ed25519Signature bad_s = sig;

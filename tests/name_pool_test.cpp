@@ -247,8 +247,11 @@ TEST(NamePoolTest, GaugesStayFlatAcrossReprobes) {
       registry.gauge("dnsboot_namepool_names").get();
   const double bytes_before =
       registry.gauge("dnsboot_namepool_bytes").get();
+  const double live_before =
+      registry.gauge("dnsboot_namepool_live_bytes").get();
   EXPECT_GT(names_before, 0.0);
   EXPECT_GT(bytes_before, 0.0);
+  EXPECT_GT(live_before, 0.0);
 
   for (int cycle = 0; cycle < 5; ++cycle) {  // simulated re-probe rounds
     for (const std::string& text : texts) {
@@ -257,7 +260,35 @@ TEST(NamePoolTest, GaugesStayFlatAcrossReprobes) {
     NamePool::instance().export_gauges(registry);
     EXPECT_EQ(registry.gauge("dnsboot_namepool_names").get(), names_before);
     EXPECT_EQ(registry.gauge("dnsboot_namepool_bytes").get(), bytes_before);
+    EXPECT_EQ(registry.gauge("dnsboot_namepool_live_bytes").get(),
+              live_before);
   }
+}
+
+TEST(NamePoolTest, ReservedBytesTrackLiveBytes) {
+  // Each of the 64 shard arenas starts at one 4 KiB page and doubles its
+  // reservation per chunk, so the pool reserves about what its names hold
+  // instead of a fixed chunk per shard.
+  for (int i = 0; i < 4000; ++i) {
+    const std::string text = "Host-" + std::to_string(i) + ".zone-" +
+                             std::to_string(i % 97) + ".example.";
+    ASSERT_TRUE(Name::from_text(text).ok()) << text;
+  }
+  const NamePool::Stats stats = NamePool::instance().stats();
+  EXPECT_GT(stats.live_bytes, 4000u * 20);
+  EXPECT_LE(stats.live_bytes, stats.arena_bytes);
+  EXPECT_LE(stats.arena_bytes, 2 * stats.live_bytes + 64 * 4096);
+}
+
+TEST(NamePoolTest, LiveGaugeEqualsLiveBytes) {
+  ASSERT_TRUE(Name::from_text("gauge.Example.").ok());
+  dnsboot::obs::MetricsRegistry registry;
+  NamePool::instance().export_gauges(registry);
+  const NamePool::Stats stats = NamePool::instance().stats();
+  EXPECT_EQ(registry.gauge("dnsboot_namepool_live_bytes").get(),
+            static_cast<double>(stats.live_bytes));
+  EXPECT_EQ(registry.gauge("dnsboot_namepool_bytes").get(),
+            static_cast<double>(stats.arena_bytes));
 }
 
 TEST(NamePoolTest, CrossThreadInterningIsDeterministic) {

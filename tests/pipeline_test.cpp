@@ -80,7 +80,7 @@ std::unique_ptr<World> scan_world(std::vector<OperatorProfile> operators,
     world->observations.push_back(std::move(obs));
   });
   scanner.run();
-  world->infra = scanner.infrastructure();
+  world->infra = *scanner.take_infrastructure();
   return world;
 }
 
