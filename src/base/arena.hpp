@@ -67,8 +67,9 @@ class Arena {
   static constexpr std::size_t kFirstChunkBytes = 4 * 1024;
 
   void grow(std::size_t n) {
-    // Doubles the reservation, capped at chunk_bytes_; a request the step
-    // cannot hold gets a chunk of exactly its size.
+    // The next chunk matches everything reserved so far, which doubles the
+    // reservation, within [one page, chunk_bytes_]; a larger request gets a
+    // chunk of exactly its size.
     const std::size_t step =
         std::clamp(bytes_reserved_, std::min(kFirstChunkBytes, chunk_bytes_),
                    chunk_bytes_);
