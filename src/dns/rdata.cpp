@@ -511,6 +511,14 @@ Result<std::array<std::uint8_t, 16>> ipv6_from_text(const std::string& text) {
 
 namespace {
 
+// " <types>" after an NSEC, NSEC3 or CSYNC printer's fixed fields; nothing
+// for an empty bitmap.
+void append_types(const TypeBitmap& types, std::string* out) {
+  if (types.empty()) return;
+  *out += ' ';
+  *out += types.to_text();
+}
+
 struct RdataPrinter {
   std::string operator()(const ARdata& r) const { return ipv4_to_text(r.address); }
   std::string operator()(const AaaaRdata& r) const {
@@ -551,7 +559,7 @@ struct RdataPrinter {
   }
   std::string operator()(const NsecRdata& r) const {
     std::string out = r.next_domain.to_text();
-    if (!r.types.empty()) out += " " + r.types.to_text();
+    append_types(r.types, &out);
     return out;
   }
   std::string operator()(const Nsec3Rdata& r) const {
@@ -560,7 +568,7 @@ struct RdataPrinter {
                       std::to_string(r.iterations) + " " +
                       (r.salt.empty() ? "-" : hex_encode(r.salt)) + " " +
                       base32hex_encode(r.next_hashed_owner);
-    if (!r.types.empty()) out += " " + r.types.to_text();
+    append_types(r.types, &out);
     return out;
   }
   std::string operator()(const Nsec3ParamRdata& r) const {
@@ -571,15 +579,20 @@ struct RdataPrinter {
   std::string operator()(const CsyncRdata& r) const {
     std::string out =
         std::to_string(r.soa_serial) + " " + std::to_string(r.flags);
-    if (!r.types.empty()) out += " " + r.types.to_text();
+    append_types(r.types, &out);
     return out;
   }
   std::string operator()(const OptRdata& r) const {
     return r.options.empty() ? "" : hex_encode(r.options);
   }
   std::string operator()(const RawRdata& r) const {
-    return "\\# " + std::to_string(r.data.size()) +
-           (r.data.empty() ? "" : " " + hex_encode(r.data));
+    std::string out = "\\# ";
+    out += std::to_string(r.data.size());
+    if (!r.data.empty()) {
+      out += ' ';
+      out += hex_encode(r.data);
+    }
+    return out;
   }
 };
 

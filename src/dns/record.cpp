@@ -1,6 +1,7 @@
 #include "dns/record.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace dnsboot::dns {
 
@@ -33,9 +34,19 @@ bool RRset::same_rdatas(const RRset& other) const {
   b.reserve(other.rdatas.size());
   for (const auto& rd : rdatas) a.push_back(canonical_rdata_bytes(rd));
   for (const auto& rd : other.rdatas) b.push_back(canonical_rdata_bytes(rd));
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
+  std::sort(a.begin(), a.end(), canonical_rdata_less);
+  std::sort(b.begin(), b.end(), canonical_rdata_less);
   return a == b;
+}
+
+bool canonical_rdata_less(const Bytes& a, const Bytes& b) {
+  const std::size_t common = std::min(a.size(), b.size());
+  // Empty RDATA may have no buffer, and memcmp wants one even for 0 bytes.
+  if (common > 0) {
+    const int order = std::memcmp(a.data(), b.data(), common);
+    if (order != 0) return order < 0;
+  }
+  return a.size() < b.size();
 }
 
 Bytes canonical_rdata_bytes(const Rdata& rdata) {

@@ -48,5 +48,8 @@ struct RRset {
 
 // Canonical wire form of one rdata, used for sorting inside signatures.
 Bytes canonical_rdata_bytes(const Rdata& rdata);
+// RFC 4034 §6.3 order over canonical RDATA: left-justified unsigned octet
+// sequences, where the absence of an octet sorts before a zero octet.
+bool canonical_rdata_less(const Bytes& a, const Bytes& b);
 
 }  // namespace dnsboot::dns

@@ -11,7 +11,7 @@ Bytes signature_input(const dns::RRset& rrset, const dns::RrsigRdata& rrsig) {
   for (const auto& rd : rrset.rdatas) {
     rdatas.push_back(dns::canonical_rdata_bytes(rd));
   }
-  std::sort(rdatas.begin(), rdatas.end());
+  std::sort(rdatas.begin(), rdatas.end(), dns::canonical_rdata_less);
 
   // Sized up front, so the input is built in one buffer.
   const std::size_t owner_length = rrset.name.wire_length();

@@ -179,7 +179,8 @@ std::string AdoptionReporter::to_json() const {
 std::string AdoptionReporter::to_csv() const {
   std::string out = "at_usec";
   for (int j = 0; j < kZonePhaseCount; ++j) {
-    out += "," + to_string(static_cast<ZonePhase>(j));
+    out += ',';
+    out += to_string(static_cast<ZonePhase>(j));
   }
   out += "\n";
   char buf[32];
@@ -187,7 +188,8 @@ std::string AdoptionReporter::to_csv() const {
     std::snprintf(buf, sizeof buf, "%" PRIu64, p.at);
     out += buf;
     for (int j = 0; j < kZonePhaseCount; ++j) {
-      out += "," + std::to_string(p.counts[j]);
+      out += ',';
+      out += std::to_string(p.counts[j]);
     }
     out += "\n";
   }

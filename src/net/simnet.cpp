@@ -8,79 +8,7 @@
 namespace dnsboot::net {
 
 SimNetwork::SimNetwork(std::uint64_t seed) : rng_(seed) {
-  events_.reserve(1024);
-  slots_.reserve(1024);
-}
-
-void SimNetwork::heap_place(std::size_t index, const EventRef& ref) {
-  events_[index] = ref;
-  slot_state_[ref.slot].heap_index = static_cast<std::uint32_t>(index);
-}
-
-void SimNetwork::heap_sift_up(std::size_t index) {
-  const EventRef moving = events_[index];
-  while (index > 0) {
-    const std::size_t parent = (index - 1) / 2;
-    if (!moving.before(events_[parent])) break;
-    heap_place(index, events_[parent]);
-    index = parent;
-  }
-  heap_place(index, moving);
-}
-
-void SimNetwork::heap_sift_down(std::size_t index) {
-  const EventRef moving = events_[index];
-  const std::size_t size = events_.size();
-  for (;;) {
-    std::size_t child = 2 * index + 1;
-    if (child >= size) break;
-    if (child + 1 < size && events_[child + 1].before(events_[child])) ++child;
-    if (!events_[child].before(moving)) break;
-    heap_place(index, events_[child]);
-    index = child;
-  }
-  heap_place(index, moving);
-}
-
-void SimNetwork::heap_remove(std::size_t index) {
-  const EventRef last = events_.back();
-  events_.pop_back();
-  if (index == events_.size()) return;
-  events_[index] = last;
-  if (index > 0 && last.before(events_[(index - 1) / 2])) {
-    heap_sift_up(index);
-  } else {
-    heap_sift_down(index);
-  }
-}
-
-std::uint32_t SimNetwork::push_event(Event event) {
-  EventRef ref{event.at, event.sequence, 0};
-  if (free_slots_.empty()) {
-    ref.slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(event));
-    slot_state_.emplace_back();
-  } else {
-    ref.slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[ref.slot] = std::move(event);
-  }
-  events_.push_back(ref);
-  heap_sift_up(events_.size() - 1);
-  return ref.slot;
-}
-
-SimNetwork::Event SimNetwork::pop_event() {
-  const std::uint32_t slot = events_.front().slot;
-  heap_remove(0);
-  Event event = std::move(slots_[slot]);
-  SlotState& state = slot_state_[slot];
-  if (state.live) {
-    state.live = false;
-    --live_timers_;
-  }
-  free_slots_.push_back(slot);
-  return event;
+  queue_.reserve(1024);
 }
 
 void SimNetwork::fire_event(Event& event) {
@@ -99,32 +27,14 @@ void SimNetwork::fire_event(Event& event) {
 
 std::uint64_t SimNetwork::schedule(SimTime delay, TimerHandler fn) {
   Event event;
-  event.at = now_ + delay;
-  event.sequence = next_sequence_++;
   event.action = std::move(fn);
-  const std::uint32_t slot = push_event(std::move(event));
-  SlotState& state = slot_state_[slot];
-  // Generation 0 is never issued, so no id is 0.
-  if (++state.generation == 0) state.generation = 1;
-  state.live = true;
-  ++live_timers_;
-  return std::uint64_t{state.generation} << 32 | slot;
+  return queue_.push_timer(now_ + delay, std::move(event));
 }
 
 void SimNetwork::cancel(std::uint64_t timer_id) {
-  const auto slot = static_cast<std::uint32_t>(timer_id);
-  if (slot >= slot_state_.size()) return;
-  SlotState& state = slot_state_[slot];
-  if (!state.live || state.generation != timer_id >> 32) return;
-  state.live = false;
-  --live_timers_;
-  heap_remove(state.heap_index);
-  Event& event = slots_[slot];
-  cancelled_horizon_ = std::max(cancelled_horizon_, event.at);
-  // The handler dies at the end of this call, after the queue is whole
-  // again, so a destructor that schedules or cancels sees a valid state.
-  const TimerHandler handler = std::exchange(event.action, nullptr);
-  free_slots_.push_back(slot);
+  if (const auto due = queue_.cancel(timer_id)) {
+    cancelled_horizon_ = std::max(cancelled_horizon_, *due);
+  }
 }
 
 void SimNetwork::bind(const IpAddress& address, DatagramHandler handler) {
@@ -311,11 +221,9 @@ bool SimNetwork::apply_fault_rule(FaultRule& rule, SimTime* extra_latency,
 
 void SimNetwork::deliver(Datagram dgram, SimTime latency) {
   Event event;
-  event.at = now_ + latency;
-  event.sequence = next_sequence_++;
   event.is_delivery = true;
   event.dgram = std::move(dgram);
-  push_event(std::move(event));
+  queue_.push(now_ + latency, std::move(event));
 }
 
 void SimNetwork::send(const IpAddress& source, const IpAddress& destination,
@@ -378,9 +286,9 @@ void SimNetwork::send(Datagram dgram) {
 
 std::size_t SimNetwork::run(std::size_t max_events) {
   std::size_t processed = 0;
-  while (!events_.empty() && processed < max_events) {
-    Event event = pop_event();
-    now_ = event.at;
+  while (!queue_.empty() && processed < max_events) {
+    now_ = queue_.next_due();
+    Event event = queue_.pop();
     fire_event(event);
     ++processed;
   }
@@ -392,9 +300,9 @@ std::size_t SimNetwork::run(std::size_t max_events) {
 
 std::size_t SimNetwork::run_until(SimTime deadline) {
   std::size_t processed = 0;
-  while (!events_.empty() && events_.front().at <= deadline) {
-    Event event = pop_event();
-    now_ = event.at;
+  while (!queue_.empty() && queue_.next_due() <= deadline) {
+    now_ = queue_.next_due();
+    Event event = queue_.pop();
     fire_event(event);
     ++processed;
   }

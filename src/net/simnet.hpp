@@ -20,6 +20,7 @@
 #include "base/bytes.hpp"
 #include "base/rng.hpp"
 #include "net/address.hpp"
+#include "net/event_queue.hpp"
 #include "net/transport.hpp"
 #include "obs/stats.hpp"
 
@@ -138,29 +139,18 @@ class SimNetwork : public Transport {
 
   SimTime now() const override { return now_; }
 
-  // Run `fn` at now() + delay. Returns a timer id usable with cancel().
-  //
-  // Timer-id contract: an id is the event slot the timer occupies plus the
-  // generation that slot had when the timer was scheduled
-  // (generation << 32 | slot, never 0). A slot's generation advances each
-  // time it takes a new timer, so an id goes stale the moment its timer
-  // fires or is cancelled, and stays stale after the slot is reused:
-  // cancel() of a stale, unknown or 0 id does nothing. Schedule, cancel and
-  // fire keep no per-timer set, so they allocate nothing beyond the
-  // handler itself.
-  //
-  // cancel() takes a live timer's event out of the queue at once (O(log n))
-  // and destroys its handler. A run() that drains the queue still ends at
-  // the latest due time of any timer cancelled while queued, if that is
-  // later than the last event it fired: the clock reads as if cancelled
-  // timers had stayed queued and expired unfired.
+  // Timers follow the Transport timer-id contract (net/transport.hpp).
+  // A run() that drains the queue still ends at the latest due time of any
+  // timer cancelled while queued, if that is later than the last event it
+  // fired: the clock reads as if cancelled timers had stayed queued and
+  // expired unfired.
   std::uint64_t schedule(SimTime delay, TimerHandler fn) override;
   void cancel(std::uint64_t timer_id) override;
 
   // Outstanding (scheduled, neither fired nor cancelled) timers. The
   // bookkeeping must stay bounded by the number of live timers — long chaos
   // runs schedule millions of timers over their lifetime.
-  std::size_t timer_bookkeeping_size() const { return live_timers_; }
+  std::size_t timer_bookkeeping_size() const { return queue_.live_timers(); }
 
   // Attach a handler to an address. Binding an already-bound address
   // replaces the handler (used for fail-over in tests).
@@ -226,8 +216,6 @@ class SimNetwork : public Transport {
   // the handler lookup itself, so queueing a delivery allocates nothing
   // beyond the payload it already owns.
   struct Event {
-    SimTime at = 0;
-    std::uint64_t sequence = 0;  // FIFO tie-break for equal timestamps
     bool is_delivery = false;
     Datagram dgram;      // valid when is_delivery
     TimerHandler action; // valid otherwise
@@ -237,18 +225,6 @@ class SimNetwork : public Transport {
     Event& operator=(Event&&) = default;
     Event(const Event&) = delete;
     Event& operator=(const Event&) = delete;
-  };
-  // What the heap actually sifts: a trivially-copyable stub pointing at the
-  // payload's slot. Heap moves copy 24 bytes instead of a full Event (whose
-  // std::function move is an indirect manager call per move).
-  struct EventRef {
-    SimTime at;
-    std::uint64_t sequence;
-    std::uint32_t slot;
-
-    bool before(const EventRef& other) const {
-      return at != other.at ? at < other.at : sequence < other.sequence;
-    }
   };
   // A fault rule plus its mutable burst state.
   struct FaultRule {
@@ -261,17 +237,6 @@ class SimNetwork : public Transport {
     Rng rng;
   };
 
-  // Queue an event; returns the slot that holds it.
-  std::uint32_t push_event(Event event);
-  // Remove and return the earliest event (the (at, sequence) order is total,
-  // so the heap pop is deterministic). A timer's id is stale from here on.
-  Event pop_event();
-  // Heap maintenance: each slot records where its EventRef sits, so that
-  // cancel() can take a timer out of the middle.
-  void heap_place(std::size_t index, const EventRef& ref);
-  void heap_sift_up(std::size_t index);
-  void heap_sift_down(std::size_t index);
-  void heap_remove(std::size_t index);
   void fire_event(Event& event);
   // Evaluate one fault rule against a datagram about to be queued. Returns
   // false when the datagram is dropped; otherwise accumulates extra latency
@@ -287,25 +252,10 @@ class SimNetwork : public Transport {
   SimTime now_ = 0;
   // Latest due time of a timer cancelled while queued (see cancel()).
   SimTime cancelled_horizon_ = 0;
-  std::uint64_t next_sequence_ = 1;
-  // Binary min-heap on (at, sequence). The (at, sequence) order is total, so
-  // pop order — and therefore the simulation — is independent of slot
-  // numbering and of which cancelled events left early. Payloads live in
-  // slots_ and are reused via a free list.
-  std::vector<EventRef> events_;
-  std::vector<Event> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  // Per-slot state, parallel to slots_: where the slot's event sits in the
-  // heap, the generation of the slot's latest timer, and whether that timer
-  // is still live (scheduled, neither fired nor cancelled). See schedule()
-  // for the id contract.
-  struct SlotState {
-    std::uint32_t heap_index = 0;
-    std::uint32_t generation = 0;
-    bool live = false;
-  };
-  std::vector<SlotState> slot_state_;
-  std::size_t live_timers_ = 0;
+  // Deliveries and timers in one queue, so both draw from one sequence and
+  // pop in one total (due, sequence) order: the simulation never depends on
+  // slot numbering or on which cancelled timers left early.
+  EventQueue<Event> queue_;
   std::unordered_map<IpAddress, DatagramHandler, IpAddressHash> handlers_;
   std::unordered_map<IpAddress, FaultRule, IpAddressHash> faults_to_;
   std::unordered_map<IpAddress, AttackRule, IpAddressHash> attacks_;

@@ -64,8 +64,18 @@ class Transport {
 
   virtual SimTime now() const = 0;
 
-  // Run `fn` at now() + delay. Returns a timer id usable with cancel();
-  // ids are never 0, so 0 is a safe "no timer" sentinel for callers.
+  // Run `fn` at now() + delay. Returns a timer id usable with cancel().
+  //
+  // Timer-id contract, the same on every transport (SimNetwork and
+  // WireTransport both queue their timers in net::EventQueue):
+  //   * ids are never 0, so 0 is a safe "no timer" sentinel for callers;
+  //   * an id goes stale the moment its timer fires or is cancelled, and
+  //     stays stale after the transport reuses the timer's storage for a
+  //     new one: cancel() of a stale, unknown or 0 id does nothing;
+  //   * cancel() of a live timer takes it out of the queue at once and
+  //     destroys its handler before returning.
+  // Ids are not sequence numbers: never order them or compare them across
+  // runs.
   virtual std::uint64_t schedule(SimTime delay, TimerHandler fn) = 0;
   virtual void cancel(std::uint64_t timer_id) = 0;
 

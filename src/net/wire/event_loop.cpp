@@ -101,118 +101,14 @@ std::uint64_t EventLoop::schedule(SimTime delay, TimerHandler fn) {
 #if defined(DNSBOOT_VERIFY)
   verify_not_mid_poll("schedule()");
 #endif
-  std::uint64_t id = next_timer_id_++;
-  TimerEntry entry{id, std::max(tick_of(now() + delay), current_tick_ + 1)};
-  timers_.emplace(id, std::move(fn));
-  ++live_timers_;
-  place(entry);
-  return id;
+  return timers_.push_timer(now() + delay, std::move(fn));
 }
 
 void EventLoop::cancel(std::uint64_t timer_id) {
 #if defined(DNSBOOT_VERIFY)
   verify_not_mid_poll("cancel()");
 #endif
-  // Lazy cancellation: drop the handler now, let the wheel entry drain when
-  // its slot comes around (same bounded-bookkeeping contract as SimNetwork).
-  if (timers_.erase(timer_id) > 0) --live_timers_;
-}
-
-void EventLoop::place(TimerEntry entry) {
-  std::uint64_t delta = entry.expiry_tick - current_tick_;
-  if (delta >= (1ull << (kWheelBits * kLevels))) {
-    // Past the wheel horizon: park instead of wrapping into the top level,
-    // where the entry would be cascaded (and re-placed) once per top-level
-    // wrap until its final lap. advance() re-admits it when in range.
-    overflow_.emplace(entry.expiry_tick, entry.id);
-    return;
-  }
-  for (int level = 0; level < kLevels; ++level) {
-    if (delta < (1ull << (kWheelBits * (level + 1))) ||
-        level == kLevels - 1) {
-      std::size_t slot =
-          (entry.expiry_tick >> (kWheelBits * level)) & (kWheelSlots - 1);
-      wheel_[level][slot].push_back(entry);
-      return;
-    }
-  }
-}
-
-std::size_t EventLoop::advance(std::uint64_t target_tick) {
-  std::size_t fired = 0;
-  // Re-admit parked timers whose expiry is now within the wheel horizon.
-  // The horizon (~51 days) dwarfs any poll interval, so checking once per
-  // advance is always early enough.
-  while (!overflow_.empty()) {
-    const auto it = overflow_.begin();
-    const std::uint64_t expiry = it->first;
-    if (expiry > current_tick_ &&
-        expiry - current_tick_ >= (1ull << (kWheelBits * kLevels))) {
-      break;
-    }
-    const std::uint64_t id = it->second;
-    overflow_.erase(it);
-    if (timers_.find(id) == timers_.end()) continue;  // cancelled while parked
-    // Clamp overdue expiries forward so the level-0 guard fires them on the
-    // next tick instead of computing a wrapped delta.
-    place(TimerEntry{id, expiry > current_tick_ ? expiry : current_tick_ + 1});
-  }
-  std::vector<TimerEntry> pending;
-  while (current_tick_ < target_tick) {
-    ++current_tick_;
-    // Cascade higher levels whenever this level's index wrapped to 0.
-    for (int level = 1; level < kLevels; ++level) {
-      if ((current_tick_ & ((1ull << (kWheelBits * level)) - 1)) != 0) break;
-      std::size_t slot =
-          (current_tick_ >> (kWheelBits * level)) & (kWheelSlots - 1);
-      pending.swap(wheel_[level][slot]);
-      for (TimerEntry& entry : pending) {
-        if (timers_.find(entry.id) == timers_.end()) continue;  // cancelled
-        place(entry);
-      }
-      pending.clear();
-    }
-    std::size_t slot = current_tick_ & (kWheelSlots - 1);
-    if (wheel_[0][slot].empty()) continue;
-    pending.swap(wheel_[0][slot]);
-    for (TimerEntry& entry : pending) {
-      auto it = timers_.find(entry.id);
-      if (it == timers_.end()) continue;  // cancelled
-      if (entry.expiry_tick > current_tick_) {
-        // A future round of this slot; put it back.
-        wheel_[0][slot].push_back(entry);
-        continue;
-      }
-      TimerHandler fn = std::move(it->second);
-      timers_.erase(it);
-      --live_timers_;
-      fn();
-      ++fired;
-    }
-    pending.clear();
-  }
-  return fired;
-}
-
-SimTime EventLoop::next_timer_delay() const {
-  if (live_timers_ == 0) return kSimTimeForever;
-  // Scan the level-0 window for the earliest live entry; if the next expiry
-  // lives higher up, wait only until the next cascade boundary — poll()
-  // re-evaluates after every advance, so progress is guaranteed.
-  for (std::uint64_t tick = current_tick_ + 1;
-       tick <= current_tick_ + kWheelSlots; ++tick) {
-    for (const TimerEntry& entry : wheel_[0][tick & (kWheelSlots - 1)]) {
-      if (entry.expiry_tick != tick) continue;
-      if (timers_.find(entry.id) == timers_.end()) continue;
-      SimTime expiry_us = tick << kTickShift;
-      SimTime now_us = now();
-      return expiry_us > now_us ? expiry_us - now_us : 0;
-    }
-  }
-  std::uint64_t boundary = (current_tick_ | (kWheelSlots - 1)) + 1;
-  SimTime boundary_us = boundary << kTickShift;
-  SimTime now_us = now();
-  return boundary_us > now_us ? boundary_us - now_us : 0;
+  timers_.cancel(timer_id);
 }
 
 std::size_t EventLoop::poll(SimTime max_wait) {
@@ -220,12 +116,18 @@ std::size_t EventLoop::poll(SimTime max_wait) {
   EventLoopPollScope poll_scope(*this);
 #endif
   if (epoll_fd_ < 0) return 0;
-  SimTime wait = std::min(max_wait, next_timer_delay());
+  SimTime wait = max_wait;
+  if (!timers_.empty()) {
+    const SimTime due = timers_.next_due();
+    const SimTime now_us = now();
+    wait = std::min(wait, due > now_us ? due - now_us : 0);
+  }
   int timeout_ms;
   if (wait == kSimTimeForever) {
     timeout_ms = -1;
   } else {
-    // Round up so we never spin a whole tick busy-waiting on a near timer.
+    // Round up so a near timer is due when the wait ends, not a little
+    // before it (which would spin one more empty pass).
     timeout_ms = static_cast<int>(
         std::min<SimTime>((wait + 999) / 1000, 60 * 1000));
   }
@@ -242,7 +144,15 @@ std::size_t EventLoop::poll(SimTime max_wait) {
     handler(events[i].events);
     ++dispatched;
   }
-  dispatched += advance(tick_of(now()));
+  // Timers fire after the io dispatch, never inside it. The pass takes one
+  // clock reading and fires only what is due by it, so a timer that keeps
+  // re-arming itself cannot hold the loop here.
+  const SimTime now_us = now();
+  while (!timers_.empty() && timers_.next_due() <= now_us) {
+    TimerHandler fn = timers_.pop();
+    fn();
+    ++dispatched;
+  }
   return dispatched;
 }
 

@@ -1,11 +1,11 @@
-// EventLoop — a non-blocking epoll reactor with a hierarchical timer wheel.
+// EventLoop — a non-blocking epoll reactor.
 //
-// This is the real-time twin of SimNetwork's event heap: file descriptors
-// register interest masks with callbacks, timers are kept in a 4-level
-// hashed wheel (256 slots/level, ~1 ms ticks), and poll() runs one
-// epoll_wait + timer-expiry pass. Time is the monotonic clock in
-// microseconds since loop construction, so SimTime arithmetic from the
-// simulator carries over unchanged.
+// This is the real-time twin of SimNetwork: file descriptors register
+// interest masks with callbacks, timers wait in the same EventQueue the
+// simulator runs on (net/event_queue.hpp), and poll() runs one epoll_wait
+// plus a timer-expiry pass. Time is the monotonic clock in microseconds
+// since loop construction, so SimTime arithmetic from the simulator carries
+// over unchanged.
 //
 // Single-threaded by design — one loop per worker thread, share-nothing
 // (the SO_REUSEPORT model). The only cross-thread entry point is wakeup(),
@@ -19,11 +19,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
+#include "net/event_queue.hpp"
 #include "net/transport.hpp"
 
 namespace dnsboot::net {
@@ -42,15 +41,12 @@ class EventLoop {
   // Monotonic microseconds since construction.
   SimTime now() const;
 
-  // Run `fn` once at now() + delay (rounded up to the next ~1 ms tick).
-  // Returns a non-zero timer id for cancel().
+  // Run `fn` once at now() + delay, from the first poll() whose
+  // timer-expiry pass finds it due. Ids follow the Transport timer-id
+  // contract (net/transport.hpp).
   std::uint64_t schedule(SimTime delay, TimerHandler fn);
   void cancel(std::uint64_t timer_id);
-  std::size_t live_timers() const { return live_timers_; }
-  // Timers parked past the wheel horizon (~51 days); they sit in an ordered
-  // overflow list instead of churning through top-level cascades, and are
-  // re-admitted to the wheel once their expiry comes within the horizon.
-  std::size_t overflow_timers() const { return overflow_.size(); }
+  std::size_t live_timers() const { return timers_.live_timers(); }
 
   // Register or update interest in `fd`. `events` is an epoll mask; the
   // handler fires with the ready mask. unwatch() must precede close(fd).
@@ -59,8 +55,9 @@ class EventLoop {
   std::size_t watched_fds() const { return io_.size(); }
 
   // One reactor pass: wait for io (at most `max_wait`, clipped to the next
-  // timer expiry), dispatch ready fds, then fire due timers. Returns the
-  // number of callbacks dispatched.
+  // timer expiry), dispatch ready fds, then fire every timer due by the
+  // clock reading taken after that dispatch. Returns the number of
+  // callbacks dispatched.
   std::size_t poll(SimTime max_wait);
 
   // Wake a blocking poll() from another thread or a signal handler.
@@ -70,41 +67,11 @@ class EventLoop {
   const std::string& error() const { return error_; }
 
  private:
-  // Timer wheel geometry: 4 levels of 256 slots; level 0 ticks are 1024 µs,
-  // each level up is 256× coarser (~4.5 hours of total horizon, beyond
-  // which timers park in the top level and re-cascade).
-  static constexpr int kTickShift = 10;  // 1 tick = 1024 µs
-  static constexpr int kWheelBits = 8;
-  static constexpr std::size_t kWheelSlots = 1u << kWheelBits;
-  static constexpr int kLevels = 4;
-
-  struct TimerEntry {
-    std::uint64_t id;
-    std::uint64_t expiry_tick;
-  };
-
-  std::uint64_t tick_of(SimTime t) const { return t >> kTickShift; }
-  // The slot a timer with this expiry belongs to right now.
-  void place(TimerEntry entry);
-  // Advance the wheel to `target_tick`, firing due timers.
-  std::size_t advance(std::uint64_t target_tick);
-  // Earliest pending expiry relative to now, or kSimTimeForever.
-  SimTime next_timer_delay() const;
-
   int epoll_fd_ = -1;
   int wakeup_fd_ = -1;  // eventfd, watched for cross-thread wakeups
   SimTime epoch_us_ = 0;
 
-  std::vector<TimerEntry> wheel_[kLevels][kWheelSlots];
-  // expiry_tick -> id for timers at least one full wheel horizon out.
-  // Ordered so re-admission pops from the front; cancellation stays lazy
-  // (a parked id missing from timers_ is dropped at re-admission).
-  std::multimap<std::uint64_t, std::uint64_t> overflow_;
-  std::unordered_map<std::uint64_t, TimerHandler> timers_;  // live only
-  std::uint64_t current_tick_ = 0;
-  std::uint64_t next_timer_id_ = 1;
-  std::size_t live_timers_ = 0;
-
+  EventQueue<TimerHandler> timers_;
   std::unordered_map<int, IoHandler> io_;
   std::string error_;
 

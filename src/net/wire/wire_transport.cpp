@@ -174,16 +174,14 @@ void WireTransport::unbind(const IpAddress& address) {
     loop_.unwatch(endpoint->tcp_listen_fd);
     close(endpoint->tcp_listen_fd);
   }
-  // Drop connections owned by this endpoint.
-  for (auto conn_it = tcp_conns_.begin(); conn_it != tcp_conns_.end();) {
-    if (conn_it->second->local_vaddr == address) {
-      loop_.unwatch(conn_it->second->fd);
-      close(conn_it->second->fd);
-      conn_it = tcp_conns_.erase(conn_it);
-    } else {
-      ++conn_it;
-    }
+  // Close the connections owned by this endpoint through close_conn, so
+  // accepted ones leave the count and the idle sweep with them.
+  // Collect-then-close: close_conn mutates tcp_conns_.
+  std::vector<TcpConn*> owned;
+  for (auto& [vaddr, conn] : tcp_conns_) {
+    if (conn->local_vaddr == address) owned.push_back(conn.get());
   }
+  for (TcpConn* conn : owned) close_conn(conn);
   endpoints_.erase(it);
 }
 

@@ -206,9 +206,12 @@ TEST(NamePoolTest, PerThreadTableAnswersWithThePoolsIds) {
   // answer, from this thread's table or a fresh thread's, must be the id
   // the pool assigned, and re-interning must add no entries.
   auto flat_of = [](int i) {
-    std::string label = "h" + std::to_string(i);
-    return std::string(1, static_cast<char>(label.size())) + label +
-           "\x07" "example" "\x03" "com";
+    const std::string label = std::to_string(i);
+    std::string flat(1, static_cast<char>(label.size() + 1));
+    flat += 'h';
+    flat += label;
+    flat += "\x07" "example" "\x03" "com";
+    return flat;
   };
   constexpr int kSpellings = 3 * 4096;
   std::vector<std::uint32_t> ids(kSpellings);

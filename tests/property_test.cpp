@@ -25,6 +25,14 @@ dns::Name name_of(const std::string& text) {
   return std::move(dns::Name::from_text(text)).take();
 }
 
+// "<prefix><n><suffix>", appended piece by piece.
+std::string numbered(const char* prefix, std::uint64_t n, const char* suffix) {
+  std::string out = prefix;
+  out += std::to_string(n);
+  out += suffix;
+  return out;
+}
+
 constexpr std::uint32_t kNow = 9'000'000;
 
 struct ZoneShape {
@@ -46,7 +54,7 @@ dns::Zone build_random_zone(Rng& rng, int hosts) {
                                      dns::NsRdata{name_of("ns1.sweep.example.")}});
   for (int i = 0; i < hosts; ++i) {
     dns::Name owner =
-        std::move(zone.origin().prepend("h" + std::to_string(i))).take();
+        std::move(zone.origin().prepend(numbered("h", i, ""))).take();
     // Random mix of record types per host.
     if (rng.chance(0.8)) {
       dns::ARdata a;
@@ -62,7 +70,8 @@ dns::Zone build_random_zone(Rng& rng, int hosts) {
     }
     if (rng.chance(0.3)) {
       dns::TxtRdata txt;
-      txt.strings.push_back("t" + std::to_string(rng.next_u64() % 100000));
+      txt.strings.emplace_back("t");
+      txt.strings.back() += std::to_string(rng.next_u64() % 100000);
       (void)zone.add(dns::ResourceRecord{owner, dns::RRType::kTXT,
                                          dns::RRClass::kIN, 300, txt});
     }
@@ -227,14 +236,13 @@ TEST_P(CodecFixpoint, EncodeDecodeEncodeIsStable) {
     message.header.aa = rng.chance(0.5);
     message.header.rcode = static_cast<dns::Rcode>(rng.next_below(6));
     message.questions.push_back(dns::Question{
-        name_of("q" + std::to_string(rng.next_below(100)) + ".example."),
+        name_of(numbered("q", rng.next_below(100), ".example.")),
         dns::RRType::kSOA, dns::RRClass::kIN});
     int answers = 1 + static_cast<int>(rng.next_below(6));
     for (int i = 0; i < answers; ++i) {
       dns::RRType type = kTypes[rng.next_below(std::size(kTypes))];
       dns::ResourceRecord rr;
-      rr.name = name_of("a" + std::to_string(rng.next_below(50)) +
-                        ".example.");
+      rr.name = name_of(numbered("a", rng.next_below(50), ".example."));
       rr.type = type;
       rr.ttl = static_cast<std::uint32_t>(rng.next_u64());
       rr.rdata = random_rdata(rng, type);
@@ -351,9 +359,10 @@ TEST_P(CodecFixpoint, CompressorMatchesHashMapReference) {
     const int records = 500 + static_cast<int>(rng.next_below(200));
     for (int i = 0; i < records; ++i) {
       const std::string zone = kZones[rng.next_below(std::size(kZones))];
-      const std::string owner =
-          (rng.chance(0.3) ? "w" + std::to_string(rng.next_below(4)) + "." : "") +
-          "h" + std::to_string(rng.next_below(150)) + "." + zone;
+      std::string owner;
+      if (rng.chance(0.3)) owner = numbered("w", rng.next_below(4), ".");
+      owner += numbered("h", rng.next_below(150), ".");
+      owner += zone;
       dns::ResourceRecord rr;
       rr.name = name_of(random_case(rng, owner));
       rr.ttl = 300;

@@ -672,8 +672,10 @@ TEST(AnswerCache, FloodOfDistinctNamesStaysWithinBound) {
   Wire wire(server);
   std::size_t peak = 0;
   for (int i = 0; i < 4000; ++i) {
-    const dns::Message query = query_of(
-        16, "r" + std::to_string(i) + ".example.com.", dns::RRType::kA);
+    std::string qname = "r";
+    qname += std::to_string(i);
+    qname += ".example.com.";
+    const dns::Message query = query_of(16, qname, dns::RRType::kA);
     EXPECT_EQ(wire.send(query.encode()).size(), 1u);
     const std::size_t bytes = server->answer_cache().bytes();
     ASSERT_LE(bytes, AnswerCache::kMaxBytes) << "after query " << i;

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,8 +89,9 @@ TEST(EventLoop, CancelPreventsFiring) {
 }
 
 TEST(EventLoop, LongDelayCascadesThroughWheelLevels) {
-  // 400 ms of ticks crosses the 256-slot level-0 window (~262 ms), so this
-  // timer parks in level 1 and must cascade back down before firing.
+  // A 400 ms timer waits through several poll() passes capped at 100 ms;
+  // each pass re-reads the queue's next due time, and the timer fires only
+  // once that time has passed.
   EventLoop loop;
   bool fired = false;
   loop.schedule(400 * kMillisecond, [&] { fired = true; });
@@ -102,19 +104,17 @@ TEST(EventLoop, LongDelayCascadesThroughWheelLevels) {
 }
 
 TEST(EventLoop, FarHorizonTimerParksInOverflow) {
-  // 60 days of ticks exceeds the wheel's ~51-day horizon (2^32 ticks of
-  // 2^10 usec); before the overflow list this delta wrapped the level index
-  // and the timer fired absurdly early. It must park, not fire.
+  // A timer 60 days out must wait without firing while nearer timers fire
+  // around it, and cancel cleanly.
   EventLoop loop;
   ASSERT_TRUE(loop.error().empty());
   bool fired = false;
   const SimTime sixty_days = SimTime{60} * 86400 * kSecond;
   std::uint64_t id = loop.schedule(sixty_days, [&] { fired = true; });
-  EXPECT_EQ(loop.overflow_timers(), 1u);
   EXPECT_EQ(loop.live_timers(), 1u);
 
-  // Polling advances the wheel; the parked timer must neither fire nor get
-  // lost, and near timers keep working around it.
+  // Polling fires the near timer; the far one must neither fire nor get
+  // lost.
   bool near_fired = false;
   loop.schedule(2 * kMillisecond, [&] { near_fired = true; });
   SimTime start = loop.now();
@@ -123,21 +123,58 @@ TEST(EventLoop, FarHorizonTimerParksInOverflow) {
   }
   EXPECT_TRUE(near_fired);
   EXPECT_FALSE(fired);
-  EXPECT_EQ(loop.overflow_timers(), 1u);
   EXPECT_EQ(loop.live_timers(), 1u);
 
-  // Cancel-while-parked: lazily deregistered, never fires.
+  // Cancelled while far out, it never fires.
   loop.cancel(id);
   EXPECT_EQ(loop.live_timers(), 0u);
 }
 
-TEST(EventLoop, JustBelowHorizonStaysInTheWheel) {
+TEST(EventLoop, StaleIdsCancelNothingAfterSlotReuse) {
   EventLoop loop;
   ASSERT_TRUE(loop.error().empty());
-  // 40 days (~3.4e9 ticks) fits under the 2^32-tick horizon: top level.
-  loop.schedule(SimTime{40} * 86400 * kSecond, [] {});
-  EXPECT_EQ(loop.overflow_timers(), 0u);
+  bool first_fired = false;
+  const std::uint64_t fired_id = loop.schedule(0, [&] { first_fired = true; });
+  SimTime start = loop.now();
+  while (!first_fired && loop.now() < start + kSecond) {
+    loop.poll(50 * kMillisecond);
+  }
+  ASSERT_TRUE(first_fired);
+  const std::uint64_t cancelled_id = loop.schedule(kSecond, [] {});
+  loop.cancel(cancelled_id);
+
+  // The slot both stale ids named now holds a new timer.
+  bool fresh_fired = false;
+  const std::uint64_t fresh_id =
+      loop.schedule(2 * kMillisecond, [&] { fresh_fired = true; });
+  EXPECT_EQ(static_cast<std::uint32_t>(fresh_id),
+            static_cast<std::uint32_t>(fired_id));
+  EXPECT_EQ(static_cast<std::uint32_t>(fresh_id),
+            static_cast<std::uint32_t>(cancelled_id));
+  EXPECT_NE(fresh_id, fired_id);
+  EXPECT_NE(fresh_id, cancelled_id);
+  loop.cancel(fired_id);
+  loop.cancel(cancelled_id);
+  loop.cancel(0);
   EXPECT_EQ(loop.live_timers(), 1u);
+
+  start = loop.now();
+  while (!fresh_fired && loop.now() < start + kSecond) {
+    loop.poll(50 * kMillisecond);
+  }
+  EXPECT_TRUE(fresh_fired);
+  EXPECT_EQ(loop.live_timers(), 0u);
+}
+
+TEST(EventLoop, CancelDestroysHandlerAtOnce) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.error().empty());
+  auto token = std::make_shared<int>(0);
+  const std::uint64_t id = loop.schedule(kSecond, [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  loop.cancel(id);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(loop.live_timers(), 0u);
 }
 
 // --- TcpFrameReassembler -------------------------------------------------
@@ -531,6 +568,36 @@ TEST(WireTransportTest, ConnectionCapEvictsOldestIdleFirst) {
   ::close(first);
   ::close(second);
   ::close(third);
+}
+
+TEST(WireTransportTest, UnbindReleasesAcceptedConnections) {
+  WireFixture fx;
+  WireTransportOptions options;
+  options.max_tcp_conns = 1;
+  WireTransport transport(fx.map, options);
+  transport.bind(fx.server_vaddr, [](const Datagram&) {});
+  ASSERT_TRUE(transport.error().empty()) << transport.error();
+  const std::uint16_t port = fx.map.real_for(fx.server_vaddr)->port;
+
+  int first = raw_tcp_connect(port);
+  ASSERT_TRUE(run_until(transport,
+                        [&] { return transport.accepted_tcp_conns() >= 1; }));
+  transport.unbind(fx.server_vaddr);
+  // The endpoint's accepted connection is closed and no longer counted.
+  EXPECT_EQ(transport.accepted_tcp_conns(), 0u);
+  ::close(first);
+
+  // Rebound, the endpoint accepts a new connection under the cap of one
+  // without an eviction.
+  transport.bind(fx.server_vaddr, [](const Datagram&) {});
+  ASSERT_TRUE(transport.error().empty()) << transport.error();
+  int second = raw_tcp_connect(port);
+  ASSERT_TRUE(run_until(
+      transport, [&] { return transport.tcp_connections_accepted() >= 2; }));
+  EXPECT_EQ(transport.accepted_tcp_conns(), 1u);
+  EXPECT_EQ(transport.tcp_evicted_cap(), 0u);
+  EXPECT_EQ(peer_state(second), 1);
+  ::close(second);
 }
 
 TEST(WireTransportTest, MalformedTcpFrameIsShedWithoutKillingWorker) {
