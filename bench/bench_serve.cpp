@@ -62,7 +62,9 @@ bool make_worker(double scale_denom, std::uint64_t seed,
   for (const auto& server : worker->world.eco.servers) {
     for (const auto& address : server->addresses()) {
       if (!map.add(address)) {
-        *error = "port space exhausted; lower --listen or the scale";
+        *error = "the world's nameserver addresses run past "
+                 "127.255.255.254; pick a lower --listen host or a smaller "
+                 "scale";
         return false;
       }
     }
@@ -107,7 +109,8 @@ RunMeasurement run_once(double scale_denom, std::uint64_t seed,
 
   // Client side: several source sockets so the kernel's SO_REUSEPORT flow
   // hash spreads queries across workers (one socket = one flow = one
-  // worker, which would serialize the whole bench).
+  // worker, which would serialize the whole bench). The client copies the
+  // serving map but binds no mapped address, so it opens no serving pair.
   constexpr std::size_t kClientSockets = 16;
   net::WireAddressMap client_map(serve[0].transport->address_map());
   net::WireTransport client(client_map);
@@ -198,7 +201,8 @@ int main(int argc, char** argv) {
       "bench_serve — loopback qps and latency of the wire serving path");
   parser.value("--scale-denom", &scale_denom, "world scale divisor", 1e-9);
   parser.value("--seed", &seed, "ecosystem seed");
-  parser.value("--listen", &listen, "HOST:PORT", "base serving endpoint");
+  parser.value("--listen", &listen, "HOST:PORT",
+               "base serving endpoint; nameserver N serves at HOST+N:PORT");
   parser.value("--workers", &worker_counts,
                "comma-separated worker counts to measure", 1);
   parser.value("--queries", &queries, "queries per run", 1);
@@ -210,8 +214,10 @@ int main(int argc, char** argv) {
   if (parser.help_requested()) return 0;
 
   auto base = net::parse_endpoint(listen);
-  if (!base) {
-    std::fprintf(stderr, "--listen requires HOST:PORT\n");
+  if (!base || !net::is_loopback(base->host)) {
+    std::fprintf(stderr,
+                 "--listen requires HOST:PORT with HOST in 127.0.0.0/8 "
+                 "(nameserver N serves at HOST+N:PORT)\n");
     return 2;
   }
   if (queries > 0xffff) queries = 0xffff;  // DNS ids index the latency table

@@ -3,8 +3,11 @@
 // crash left on disk on every monitor restart. Each input becomes a journal
 // file: a valid header, then records Journal::encode()d from transitions the
 // input derives (zone names, operators and digests drawn from an alphabet
-// that includes escapes, tabs and newlines), then the rest of the input
-// spliced in as a tail: torn lines, garbage, stray newlines. recover() must:
+// that includes escapes, tabs and newlines), some with one field replaced
+// and the checksum recomputed (so spellings like "007" or a zone without
+// its trailing dot reach the decoder past the checksum), then the rest of
+// the input spliced in as a tail: torn lines, garbage, stray newlines.
+// recover() must:
 //
 //  1. succeed and leave the file as exactly the header plus the kept lines;
 //  2. on a second call, keep the same lines and truncate nothing;
@@ -18,7 +21,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "base/rng.hpp"
 #include "dns/name.hpp"
 #include "longitudinal/journal.hpp"
 
@@ -77,6 +82,31 @@ Transition derive_transition(InputCursor& in, std::uint64_t seq) {
   return t;
 }
 
+// Replace one field of an encoded record (never the "T" tag or the
+// checksum) with input-derived text, then recompute the checksum: FNV-1a
+// over everything before it, as 16 hex digits.
+std::string reseal_mutated(InputCursor& in, const std::string& line) {
+  static const char kMutation[] = "0123456789.\\z-=";
+  std::vector<std::string> fields;
+  std::size_t start = 0;
+  for (std::size_t tab = line.find('\t'); tab != std::string::npos;
+       tab = line.find('\t', start)) {
+    fields.push_back(line.substr(start, tab - start));
+    start = tab + 1;
+  }
+  fields[1 + in.byte() % (fields.size() - 1)] =
+      in.text(kMutation, sizeof kMutation - 1, 6);
+  std::string payload;
+  for (const std::string& field : fields) {
+    payload += field;
+    payload += '\t';
+  }
+  char crc[17];
+  std::snprintf(crc, sizeof crc, "%016llx",
+                static_cast<unsigned long long>(dnsboot::fnv1a(payload)));
+  return payload + crc;
+}
+
 std::string read_file(const std::string& path) {
   std::string text;
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -108,7 +138,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::string text = kHeader;
   const int records = in.byte() % 6;
   for (int i = 0; i < records; ++i) {
-    text += Journal::encode(derive_transition(in, i + 1));
+    std::string line = Journal::encode(derive_transition(in, i + 1));
+    if ((in.byte() & 3) == 0) line = reseal_mutated(in, line);
+    text += line;
     text += '\n';
   }
   if (in.offset < size) {

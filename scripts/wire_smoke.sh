@@ -5,12 +5,14 @@
 # The two reports must be byte-identical — the wire path has no report-level
 # degrees of freedom of its own. The wire scan runs twice against the same
 # server, so the second one is answered from warm answer caches and must
-# match as well.
+# match as well. Before the scans start, dnsboot-serve must hold exactly one
+# UDP socket and one TCP listener per worker, whatever the number of
+# nameserver addresses it serves.
 #
 # Usage: scripts/wire_smoke.sh [BUILD_DIR]
 #   BUILD_DIR    cmake build tree holding tools/ (default: build)
 # Environment: SCALE_DENOM (default 1000000), SEED (7), PORT (5310),
-#   QPS (0 = engine default pacing).
+#   QPS (400), WORKERS (1, dnsboot-serve --workers).
 set -euo pipefail
 
 build_dir=${1:-build}
@@ -18,6 +20,7 @@ scale_denom=${SCALE_DENOM:-1000000}
 seed=${SEED:-7}
 port=${PORT:-5310}
 qps=${QPS:-400}
+workers=${WORKERS:-1}
 
 survey="$build_dir/tools/dnsboot-survey"
 serve="$build_dir/tools/dnsboot-serve"
@@ -43,9 +46,9 @@ echo "wire_smoke: simulated reference run (seed $seed, 1/$scale_denom scale)"
 "$survey" --scale-denom "$scale_denom" --seed "$seed" \
   --json "$workdir/sim.json" --csv "$workdir/sim.csv" --quiet
 
-echo "wire_smoke: starting dnsboot-serve on 127.0.0.1:$port"
+echo "wire_smoke: starting dnsboot-serve on 127.0.0.1:$port, $workers worker(s)"
 "$serve" --scale-denom "$scale_denom" --seed "$seed" \
-  --listen "127.0.0.1:$port" --max-seconds 600 \
+  --listen "127.0.0.1:$port" --workers "$workers" --max-seconds 600 \
   --metrics-json "$workdir/serve_metrics.json" >"$workdir/serve.log" 2>&1 &
 serve_pid=$!
 
@@ -63,6 +66,15 @@ done
 if ! grep -q '^dnsboot-serve: ready$' "$workdir/serve.log"; then
   echo "wire_smoke: dnsboot-serve never became ready" >&2
   cat "$workdir/serve.log" >&2
+  exit 1
+fi
+
+# One serving pair per worker: count the socket descriptors the server
+# holds (its epoll and eventfd descriptors are not sockets).
+sockets=$(find "/proc/$serve_pid/fd" -mindepth 1 -maxdepth 1 -lname 'socket:*' | wc -l)
+echo "wire_smoke: dnsboot-serve holds $sockets socket(s)"
+if [[ "$sockets" -ne $((2 * workers)) ]]; then
+  echo "wire_smoke: FAIL — expected $((2 * workers)) sockets (one UDP socket and one TCP listener per worker)" >&2
   exit 1
 fi
 

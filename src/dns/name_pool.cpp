@@ -61,7 +61,7 @@ NamePool& NamePool::instance() {
   return *pool;
 }
 
-NamePool::NamePool() : chunks_{} {
+NamePool::NamePool() {
   // Pre-intern the root name so a default Name (id 0) needs no pool trip to
   // exist and `rep(0)` is always valid.
   std::uint32_t root_id = intern_canonical(std::string_view(), 0);
@@ -183,19 +183,28 @@ std::uint32_t NamePool::intern_locked(Shard& shard, std::string_view flat,
 NamePool::Rep* NamePool::new_rep(std::uint32_t* id_out) {
   // audit-allow: A004 monotone id ticket; entry contents publish via the shard mutex every intern path holds
   std::uint32_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  std::uint32_t chunk_i = id >> kChunkBits;
-  if (chunk_i >= kMaxChunks) {
+  const std::uint32_t block_i = id >> kBlockShift;
+  if (block_i >= kMaxBlocks) {
     std::fprintf(stderr,
                  "dnsboot: NamePool capacity exhausted (%u spellings)\n", id);
     std::abort();
   }
-  Rep* chunk = chunks_[chunk_i].load(std::memory_order_acquire);
+  const std::uint32_t chunk_i = (id >> kChunkBits) & kBlockMask;
+  ChunkBlock* block = blocks_[block_i].load(std::memory_order_acquire);
+  Rep* chunk = block != nullptr
+                   ? block->chunks[chunk_i].load(std::memory_order_acquire)
+                   : nullptr;
   if (chunk == nullptr) {
     base::MutexLock lock(grow_mutex_);
-    chunk = chunks_[chunk_i].load(std::memory_order_acquire);
+    block = blocks_[block_i].load(std::memory_order_acquire);
+    if (block == nullptr) {
+      block = new ChunkBlock();
+      blocks_[block_i].store(block, std::memory_order_release);
+    }
+    chunk = block->chunks[chunk_i].load(std::memory_order_acquire);
     if (chunk == nullptr) {
       chunk = new Rep[std::size_t{1} << kChunkBits]();
-      chunks_[chunk_i].store(chunk, std::memory_order_release);
+      block->chunks[chunk_i].store(chunk, std::memory_order_release);
     }
   }
   *id_out = id;

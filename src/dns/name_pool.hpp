@@ -74,7 +74,14 @@ class NamePool {
   // Entry for `id`. O(1), lock-free, valid for any id previously returned by
   // intern_flat in any thread whose result reached this thread.
   const Rep& rep(std::uint32_t id) const {
-    const Rep* chunk = chunks_[id >> kChunkBits].load(std::memory_order_acquire);
+    // Block 0 sits inside the pool: ids below 2^20 skip the top level and
+    // reach their chunk with one dependent load, as a flat table would.
+    const ChunkBlock* block =
+        (id >> kBlockShift) == 0
+            ? &first_block_
+            : blocks_[id >> kBlockShift].load(std::memory_order_acquire);
+    const Rep* chunk = block->chunks[(id >> kChunkBits) & kBlockMask].load(
+        std::memory_order_acquire);
     return chunk[id & kChunkMask];
   }
 
@@ -100,11 +107,21 @@ class NamePool {
   static std::string make_order_key(std::string_view flat);
 
  private:
-  // 4096 entries per chunk, 65536 chunks: capacity 2^28 interned spellings.
+  // 4096 entries per chunk, 256 chunks per block, 256 blocks: capacity
+  // 2^28 interned spellings.
   static constexpr std::uint32_t kChunkBits = 12;
   static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
-  static constexpr std::uint32_t kMaxChunks = 1u << 16;
+  static constexpr std::uint32_t kBlockBits = 8;
+  static constexpr std::uint32_t kBlockMask = (1u << kBlockBits) - 1;
+  static constexpr std::uint32_t kBlockShift = kChunkBits + kBlockBits;
+  static constexpr std::uint32_t kMaxBlocks = 1u << 8;
   static constexpr std::uint32_t kShards = 64;
+
+  // One second-level table of chunk pointers (2 KiB), allocated when its
+  // first chunk is.
+  struct ChunkBlock {
+    std::atomic<Rep*> chunks[1u << kBlockBits] = {};
+  };
 
   struct Shard {
     base::Mutex mutex{"NamePool::shard"};
@@ -135,11 +152,15 @@ class NamePool {
       REQUIRES(shard.mutex);
 
   Shard shards_[kShards];
-  // Entry chunk table. Slots are null until a writer publishes a chunk with
-  // a release store; rep() acquire-loads, so an id obtained through any
-  // synchronizing channel dereferences safely without locks.
-  std::atomic<Rep*> chunks_[kMaxChunks];
-  base::Mutex grow_mutex_{"NamePool::grow"};  // audit-allow: A003 serializes chunk allocation; chunks_ slots are lock-free acquire/release atomics, not GUARDED_BY-able
+  // Two-level entry chunk table: id -> block -> chunk -> entry. Block and
+  // chunk slots are null until a writer publishes them with a release store
+  // under grow_mutex_; rep() acquire-loads both, so an id obtained through
+  // any synchronizing channel dereferences safely without locks. Only the
+  // 2 KiB top level and block 0 (blocks_[0] points at it) live in the pool
+  // itself.
+  ChunkBlock first_block_;
+  std::atomic<ChunkBlock*> blocks_[kMaxBlocks] = {&first_block_};
+  base::Mutex grow_mutex_{"NamePool::grow"};  // audit-allow: A003 serializes chunk allocation; blocks_ and chunk slots are lock-free acquire/release atomics, not GUARDED_BY-able
   std::atomic<std::uint32_t> next_id_{0};
 };
 

@@ -181,6 +181,13 @@ Result<Transition> Journal::decode(std::string_view line) {
   }
   t.key_state = *key_state;
   t.operator_name = f[10] == "-" ? std::string() : std::string(f[10]);
+  // Only the encoder's own spelling is a record: a line that parses but
+  // re-encodes to other bytes (leading zeros, an empty operator, a zone
+  // without its trailing dot or with an escaped label) would fail the
+  // restarted monitor's replay verification instead of being cut here.
+  if (encode(t) != line) {
+    return Error{"journal.record", "non-canonical record"};
+  }
   return t;
 }
 

@@ -71,7 +71,8 @@ class Journal {
 
   // Record codec, exposed for tests and the replay-dedup path. decode()
   // leaves a delta-compressed ("=") digest empty with the matching
-  // *_changed flag false.
+  // *_changed flag false, and accepts only lines encode() reproduces byte
+  // for byte.
   static std::string encode(const Transition& transition);
   static Result<Transition> decode(std::string_view line);
 

@@ -28,12 +28,14 @@ std::optional<RealEndpoint> parse_endpoint(const std::string& text) {
 
 bool WireAddressMap::add(const IpAddress& virtual_address) {
   if (by_virtual_.find(virtual_address) != by_virtual_.end()) return true;
-  std::uint32_t port = base_.port + static_cast<std::uint32_t>(entries_.size());
-  if (port > 65535) return false;
-  RealEndpoint real{base_.host, static_cast<std::uint16_t>(port)};
+  // 127.255.255.255 is the loopback broadcast address; everything below it
+  // in 127.0.0.0/8 is a local unicast address on "lo".
+  const std::uint64_t host =
+      std::uint64_t{base_.host} + static_cast<std::uint64_t>(entries_.size());
+  if (!is_loopback(base_.host) || host >= 0x7fffffffu) return false;
+  RealEndpoint real{static_cast<std::uint32_t>(host), base_.port};
   entries_.emplace_back(virtual_address, real);
   by_virtual_.emplace(virtual_address, real);
-  by_real_.emplace(real.key(), virtual_address);
   return true;
 }
 
@@ -46,9 +48,9 @@ std::optional<RealEndpoint> WireAddressMap::real_for(
 
 std::optional<IpAddress> WireAddressMap::virtual_for(
     const RealEndpoint& real) const {
-  auto it = by_real_.find(real.key());
-  if (it == by_real_.end()) return std::nullopt;
-  return it->second;
+  const std::size_t index = index_of(real.host);
+  if (real.port != base_.port || index == entries_.size()) return std::nullopt;
+  return entries_[index].first;
 }
 
 }  // namespace dnsboot::net

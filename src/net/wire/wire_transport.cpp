@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 namespace dnsboot::net {
@@ -44,33 +45,41 @@ int make_socket(int type) {
   return fd;
 }
 
+// The IP_PKTINFO record of a received or outbound message, or null.
+in_pktinfo* pktinfo_of(msghdr& msg) {
+  for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr;
+       c = CMSG_NXTHDR(&msg, c)) {
+    if (c->cmsg_level == IPPROTO_IP && c->cmsg_type == IP_PKTINFO) {
+      return reinterpret_cast<in_pktinfo*>(CMSG_DATA(c));
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 WireTransport::WireTransport(WireAddressMap map, WireTransportOptions options)
-    : map_(std::move(map)), options_(options) {
-  recv_buffer_.resize(65535);
-}
+    : map_(std::move(map)),
+      options_(options),
+      serving_(map_.size(), nullptr),
+      recv_block_(std::make_unique_for_overwrite<std::uint8_t[]>(
+          kUdpBatch * kMaxDatagram)) {}
 
 WireTransport::~WireTransport() {
   // Tear sockets down while the loop still exists (members of this class
   // are destroyed before base/loop members declared earlier would be —
   // loop_ is declared before the containers, so unwatch explicitly first).
   for (auto& [vaddr, conn] : tcp_conns_) {
-    if (conn->fd >= 0) {
-      loop_.unwatch(conn->fd);
-      close(conn->fd);
-    }
+    loop_.unwatch(conn->fd);
+    close(conn->fd);
   }
   for (auto& [vaddr, endpoint] : endpoints_) {
-    if (endpoint->udp_fd >= 0) {
-      loop_.unwatch(endpoint->udp_fd);
-      close(endpoint->udp_fd);
-    }
-    if (endpoint->tcp_listen_fd >= 0) {
-      loop_.unwatch(endpoint->tcp_listen_fd);
-      close(endpoint->tcp_listen_fd);
+    if (endpoint->client.fd >= 0) {
+      loop_.unwatch(endpoint->client.fd);
+      close(endpoint->client.fd);
     }
   }
+  close_serving_pair();
 }
 
 void WireTransport::fail(const std::string& what) {
@@ -91,88 +100,105 @@ void WireTransport::bind(const IpAddress& address, DatagramHandler handler) {
   endpoint->handler = std::move(handler);
   if (auto real = map_.real_for(address)) {
     endpoint->real = *real;
-    open_serving_sockets(endpoint.get());
+    endpoint->serving = true;
+    if (serving_bound_++ == 0) open_serving_pair();
+    serving_[map_.index_of(real->host)] = endpoint.get();
   } else {
     open_client_socket(endpoint.get());
   }
   endpoints_.emplace(address, std::move(endpoint));
 }
 
-void WireTransport::open_serving_sockets(Endpoint* endpoint) {
-  endpoint->udp_fd = make_socket(SOCK_DGRAM);
-  if (endpoint->udp_fd < 0) return fail("socket(udp)");
-  int one = 1;
-  setsockopt(endpoint->udp_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (options_.reuse_port) {
-    setsockopt(endpoint->udp_fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one);
-  }
-  sockaddr_in addr = to_sockaddr(endpoint->real);
-  if (::bind(endpoint->udp_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof addr) < 0) {
-    return fail("bind(udp " + endpoint->real.to_text() + ")");
-  }
-  watch_udp(endpoint);
+void WireTransport::open_serving_pair() {
+  serving_udp_.fd = open_serving_socket(SOCK_DGRAM);
+  serving_tcp_fd_ = open_serving_socket(SOCK_STREAM);
+  if (serving_udp_.fd < 0 || serving_tcp_fd_ < 0) return;  // error() says why
+  loop_.watch(serving_udp_.fd, EPOLLIN,
+              [this](std::uint32_t) { on_serving_readable(); });
+  loop_.watch(serving_tcp_fd_, EPOLLIN,
+              [this](std::uint32_t) { on_accept_ready(); });
+}
 
-  endpoint->tcp_listen_fd = make_socket(SOCK_STREAM);
-  if (endpoint->tcp_listen_fd < 0) return fail("socket(tcp)");
-  setsockopt(endpoint->tcp_listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
-             sizeof one);
-  if (options_.reuse_port) {
-    setsockopt(endpoint->tcp_listen_fd, SOL_SOCKET, SO_REUSEPORT, &one,
-               sizeof one);
+int WireTransport::open_serving_socket(int type) {
+  // Bound to the wildcard at the base port but only on the loopback device,
+  // so nothing off-host reaches it. The UDP socket reports each datagram's
+  // destination (IP_PKTINFO); the listener may rebind over TIME_WAIT
+  // leftovers. Without SO_REUSEPORT a second transport on the port fails.
+  static constexpr char kLoopback[] = "lo";
+  const bool udp = type == SOCK_DGRAM;
+  const std::string what = std::string(udp ? "udp" : "tcp") + " 0.0.0.0:" +
+                           std::to_string(map_.base().port);
+  const int fd = make_socket(type);
+  if (fd < 0) {
+    fail("socket(" + what + ")");
+    return -1;
   }
-  if (::bind(endpoint->tcp_listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof addr) < 0 ||
-      listen(endpoint->tcp_listen_fd, 128) < 0) {
-    return fail("listen(tcp " + endpoint->real.to_text() + ")");
+  const int one = 1;
+  sockaddr_in addr = to_sockaddr(RealEndpoint{INADDR_ANY, map_.base().port});
+  if (setsockopt(fd, SOL_SOCKET, SO_BINDTODEVICE, kLoopback,
+                 sizeof kLoopback) < 0 ||
+      setsockopt(fd, udp ? IPPROTO_IP : SOL_SOCKET,
+                 udp ? IP_PKTINFO : SO_REUSEADDR, &one, sizeof one) < 0 ||
+      (options_.reuse_port &&
+       setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) < 0) ||
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
+      (!udp && listen(fd, 128) < 0)) {
+    fail("bind(" + what + ")");
+    close(fd);
+    return -1;
   }
-  watch_listener(endpoint);
+  return fd;
+}
+
+void WireTransport::close_serving_pair() {
+  if (serving_udp_.fd >= 0) {
+    loop_.unwatch(serving_udp_.fd);
+    close(serving_udp_.fd);
+    serving_udp_.fd = -1;
+  }
+  if (serving_tcp_fd_ >= 0) {
+    loop_.unwatch(serving_tcp_fd_);
+    close(serving_tcp_fd_);
+    serving_tcp_fd_ = -1;
+  }
 }
 
 void WireTransport::open_client_socket(Endpoint* endpoint) {
-  endpoint->udp_fd = make_socket(SOCK_DGRAM);
-  if (endpoint->udp_fd < 0) return fail("socket(udp client)");
+  int fd = make_socket(SOCK_DGRAM);
+  endpoint->client.fd = fd;
+  if (fd < 0) return fail("socket(udp client)");
   // Bind to the map's base host with an ephemeral port so replies and the
   // servers' session bookkeeping see a stable local address.
   sockaddr_in addr = to_sockaddr(RealEndpoint{map_.base().host, 0});
-  if (::bind(endpoint->udp_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof addr) < 0) {
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
     return fail("bind(udp client)");
   }
   socklen_t len = sizeof addr;
-  getsockname(endpoint->udp_fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
   endpoint->real = from_sockaddr(addr);
-  watch_udp(endpoint);
-}
-
-void WireTransport::watch_udp(Endpoint* endpoint) {
-  loop_.watch(endpoint->udp_fd, EPOLLIN, [this, endpoint](std::uint32_t) {
-    on_udp_readable(endpoint);
+  loop_.watch(fd, EPOLLIN, [this, vaddr = endpoint->vaddr](std::uint32_t) {
+    on_client_readable(vaddr);
   });
-}
-
-void WireTransport::watch_listener(Endpoint* endpoint) {
-  loop_.watch(endpoint->tcp_listen_fd, EPOLLIN,
-              [this, endpoint](std::uint32_t) { on_accept_ready(endpoint); });
 }
 
 void WireTransport::unbind(const IpAddress& address) {
   auto it = endpoints_.find(address);
   if (it == endpoints_.end()) return;
   Endpoint* endpoint = it->second.get();
-  // Flush queued datagrams best-effort, then drop the pending-list entry so
-  // no dangling pointer survives the erase.
-  flush_endpoint_udp(endpoint);
+  // Flush queued datagrams best-effort (a serving endpoint's replies share
+  // the serving queue), then drop the pending-list entry so no dangling
+  // pointer survives the erase.
+  UdpSocket* socket = endpoint->serving ? &serving_udp_ : &endpoint->client;
+  flush_udp(socket);
   udp_pending_.erase(
-      std::remove(udp_pending_.begin(), udp_pending_.end(), endpoint),
+      std::remove(udp_pending_.begin(), udp_pending_.end(), socket),
       udp_pending_.end());
-  if (endpoint->udp_fd >= 0) {
-    loop_.unwatch(endpoint->udp_fd);
-    close(endpoint->udp_fd);
-  }
-  if (endpoint->tcp_listen_fd >= 0) {
-    loop_.unwatch(endpoint->tcp_listen_fd);
-    close(endpoint->tcp_listen_fd);
+  if (endpoint->serving) {
+    serving_[map_.index_of(endpoint->real.host)] = nullptr;
+    if (--serving_bound_ == 0) close_serving_pair();
+  } else if (endpoint->client.fd >= 0) {
+    loop_.unwatch(endpoint->client.fd);
+    close(endpoint->client.fd);
   }
   // Close the connections owned by this endpoint through close_conn, so
   // accepted ones leave the count and the idle sweep with them.
@@ -204,87 +230,88 @@ IpAddress WireTransport::session_address_for(const RealEndpoint& real) {
   return session;
 }
 
-void WireTransport::deliver(const IpAddress& source,
-                            const IpAddress& destination, BytesView payload,
-                            bool tcp) {
-  auto it = endpoints_.find(destination);
-  if (it == endpoints_.end()) return;
+IpAddress WireTransport::source_for(const RealEndpoint& real) {
+  if (auto mapped = map_.virtual_for(real)) {
+    return *mapped;  // a serving endpoint answered us
+  }
+  return session_address_for(real);  // unknown peer: session identity
+}
+
+void WireTransport::deliver(Endpoint& endpoint, const IpAddress& source,
+                            BytesView payload, bool tcp) {
   ++datagrams_delivered_;
   Datagram dgram;
   dgram.source = source;
-  dgram.destination = destination;
+  dgram.destination = endpoint.vaddr;
   dgram.payload.assign(payload.begin(), payload.end());
   dgram.tcp = tcp;
-  it->second->handler(dgram);
+  endpoint.handler(dgram);
 }
 
-void WireTransport::recv_udp_unbatched(int fd, const IpAddress& vaddr) {
-  while (true) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof peer;
-    ssize_t n = recvfrom(fd, recv_buffer_.data(), recv_buffer_.size(), 0,
-                         reinterpret_cast<sockaddr*>(&peer), &peer_len);
-    if (n < 0) return;  // EAGAIN or transient error: wait for next wakeup
-    RealEndpoint real = from_sockaddr(peer);
-    IpAddress source;
-    if (auto mapped = map_.virtual_for(real)) {
-      source = *mapped;  // a serving endpoint answered us
-    } else {
-      source = session_address_for(real);  // unknown peer: session identity
+std::size_t WireTransport::recv_batch(int fd, bool pktinfo) {
+  for (std::size_t i = 0; i < kUdpBatch; ++i) {
+    recv_iovs_[i].iov_base = recv_block_.get() + i * kMaxDatagram;
+    recv_iovs_[i].iov_len = kMaxDatagram;
+    msghdr& hdr = recv_msgs_[i].msg_hdr;
+    hdr = msghdr{};
+    hdr.msg_name = &recv_peers_[i];
+    hdr.msg_namelen = sizeof recv_peers_[i];
+    hdr.msg_iov = &recv_iovs_[i];
+    hdr.msg_iovlen = 1;
+    if (pktinfo) {
+      hdr.msg_control = recv_control_[i].bytes;
+      hdr.msg_controllen = sizeof recv_control_[i].bytes;
     }
-    deliver(source, vaddr,
-            BytesView(recv_buffer_.data(), static_cast<std::size_t>(n)),
-            /*tcp=*/false);
+  }
+  const int n = recvmmsg(fd, recv_msgs_.data(), kUdpBatch, 0, nullptr);
+  if (n <= 0) return 0;  // EAGAIN or transient error: wait for next wakeup
+  ++udp_recv_batches_;
+  return static_cast<std::size_t>(n);
+}
+
+void WireTransport::on_serving_readable() {
+  // A delivery handler may unbind any endpoint mid-drain — or the last one,
+  // which closes the pair: re-read the slot table per datagram and stop
+  // once the socket drained is no longer the serving one.
+  const int fd = serving_udp_.fd;
+  while (true) {
+    const std::size_t n = recv_batch(fd, /*pktinfo=*/true);
+    for (std::size_t i = 0; i < n; ++i) {
+      const in_pktinfo* info = pktinfo_of(recv_msgs_[i].msg_hdr);
+      const std::size_t index =
+          info != nullptr ? map_.index_of(ntohl(info->ipi_addr.s_addr))
+                          : serving_.size();
+      Endpoint* endpoint = index < serving_.size() ? serving_[index] : nullptr;
+      if (endpoint == nullptr) {
+        ++datagrams_unroutable_;  // mapped but unbound, or not ours at all
+        continue;
+      }
+      deliver(*endpoint, source_for(from_sockaddr(recv_peers_[i])),
+              BytesView(recv_block_.get() + i * kMaxDatagram,
+                        recv_msgs_[i].msg_len),
+              /*tcp=*/false);
+      if (serving_udp_.fd != fd) return;
+    }
+    if (n < kUdpBatch) return;  // socket drained
   }
 }
 
-void WireTransport::on_udp_readable(Endpoint* endpoint) {
-  // Locals: a delivery handler may legally unbind this endpoint mid-drain.
-  const int fd = endpoint->udp_fd;
-  const IpAddress vaddr = endpoint->vaddr;
-  const std::size_t batch = options_.udp_batch;
-  if (batch <= 1 || !mmsg_recv_ok_) return recv_udp_unbatched(fd, vaddr);
-
-  if (mmsg_buffers_.size() < batch) {
-    mmsg_buffers_.resize(batch);
-    for (Bytes& buffer : mmsg_buffers_) buffer.resize(65535);
-  }
-  std::vector<mmsghdr> msgs(batch);
-  std::vector<iovec> iovs(batch);
-  std::vector<sockaddr_in> peers(batch);
+void WireTransport::on_client_readable(const IpAddress& vaddr) {
+  // Look the endpoint up per datagram: a delivery handler may unbind it.
+  auto endpoint = endpoints_.find(vaddr);
+  if (endpoint == endpoints_.end()) return;
+  const int fd = endpoint->second->client.fd;
   while (true) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      iovs[i].iov_base = mmsg_buffers_[i].data();
-      iovs[i].iov_len = mmsg_buffers_[i].size();
-      msgs[i] = mmsghdr{};
-      msgs[i].msg_hdr.msg_name = &peers[i];
-      msgs[i].msg_hdr.msg_namelen = sizeof peers[i];
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-    }
-    int n = recvmmsg(fd, msgs.data(), static_cast<unsigned>(batch), 0,
-                     nullptr);
-    if (n < 0) {
-      if (errno == ENOSYS || errno == EINVAL) {
-        mmsg_recv_ok_ = false;  // kernel without recvmmsg: fall back for good
-        return recv_udp_unbatched(fd, vaddr);
-      }
-      return;  // EAGAIN or transient error: wait for next wakeup
-    }
-    ++udp_recv_batches_;
-    for (int i = 0; i < n; ++i) {
-      RealEndpoint real = from_sockaddr(peers[i]);
-      IpAddress source;
-      if (auto mapped = map_.virtual_for(real)) {
-        source = *mapped;
-      } else {
-        source = session_address_for(real);
-      }
-      deliver(source, vaddr,
-              BytesView(mmsg_buffers_[i].data(), msgs[i].msg_len),
+    const std::size_t n = recv_batch(fd, /*pktinfo=*/false);
+    for (std::size_t i = 0; i < n; ++i) {
+      endpoint = endpoints_.find(vaddr);
+      if (endpoint == endpoints_.end()) return;
+      deliver(*endpoint->second, source_for(from_sockaddr(recv_peers_[i])),
+              BytesView(recv_block_.get() + i * kMaxDatagram,
+                        recv_msgs_[i].msg_len),
               /*tcp=*/false);
     }
-    if (static_cast<std::size_t>(n) < batch) return;  // socket drained
+    if (n < kUdpBatch) return;  // socket drained
   }
 }
 
@@ -327,82 +354,78 @@ void WireTransport::send(const IpAddress& source,
     ++datagrams_unroutable_;
     return;
   }
-  if (options_.udp_batch <= 1 || !mmsg_send_ok_) {
-    send_udp_now(endpoint->udp_fd, real, payload);
-    return;
-  }
-  // Batched path: queue on the endpoint and flush with one sendmmsg when
-  // the batch fills; the run loops flush every queue before each poll, so a
-  // datagram is never held across a blocking wait.
-  endpoint->udp_outq.emplace_back(real, std::move(payload));
-  if (!endpoint->udp_queued) {
-    endpoint->udp_queued = true;
-    udp_pending_.push_back(endpoint);
-  }
-  if (endpoint->udp_outq.size() >= options_.udp_batch) {
-    flush_endpoint_udp(endpoint);
+  // Serving endpoints reply through the shared socket, each from its own
+  // address; a client endpoint sends from its own socket.
+  if (endpoint->serving) {
+    queue_udp(&serving_udp_, {real, endpoint->real.host, std::move(payload)});
+  } else {
+    queue_udp(&endpoint->client, {real, 0, std::move(payload)});
   }
 }
 
-void WireTransport::send_udp_now(int fd, const RealEndpoint& real,
-                                 BytesView payload) {
-  sockaddr_in addr = to_sockaddr(real);
-  // Non-blocking best effort: a full socket buffer drops the datagram, the
-  // sender's retry logic treats it as network loss (exactly UDP semantics).
-  sendto(fd, payload.data(), payload.size(), 0,
-         reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+void WireTransport::queue_udp(UdpSocket* socket, OutDatagram datagram) {
+  // Flushed with one sendmmsg when the batch fills; the run loops flush
+  // every queue before each poll, so a datagram is never held across a
+  // blocking wait.
+  socket->outq.push_back(std::move(datagram));
+  if (!socket->queued) {
+    socket->queued = true;
+    udp_pending_.push_back(socket);
+  }
+  if (socket->outq.size() >= kUdpBatch) flush_udp(socket);
 }
 
-void WireTransport::flush_endpoint_udp(Endpoint* endpoint) {
-  std::vector<std::pair<RealEndpoint, Bytes>>& queue = endpoint->udp_outq;
-  endpoint->udp_queued = false;
+void WireTransport::flush_udp(UdpSocket* socket) {
+  std::vector<OutDatagram>& queue = socket->outq;
+  socket->queued = false;
   if (queue.empty()) return;
-  std::size_t off = 0;
-  if (mmsg_send_ok_) {
-    std::vector<mmsghdr> msgs(queue.size());
-    std::vector<iovec> iovs(queue.size());
-    std::vector<sockaddr_in> addrs(queue.size());
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      addrs[i] = to_sockaddr(queue[i].first);
-      iovs[i].iov_base = queue[i].second.data();
-      iovs[i].iov_len = queue[i].second.size();
-      msgs[i] = mmsghdr{};
-      msgs[i].msg_hdr.msg_name = &addrs[i];
-      msgs[i].msg_hdr.msg_namelen = sizeof addrs[i];
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-    }
-    while (off < queue.size()) {
-      int n = sendmmsg(endpoint->udp_fd, msgs.data() + off,
-                       static_cast<unsigned>(queue.size() - off), 0);
-      if (n < 0) {
-        if (errno == ENOSYS || errno == EINVAL) {
-          mmsg_send_ok_ = false;  // fall through to the sendto tail below
-          break;
-        }
-        // Full socket buffer (or transient error): the unsent tail drops,
-        // exactly the loss semantics of the unbatched sendto path.
-        off = queue.size();
-        break;
-      }
-      ++udp_send_batches_;
-      off += static_cast<std::size_t>(n);
+  // send() flushes a queue as soon as it holds a full batch.
+  const std::size_t count = queue.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    send_addrs_[i] = to_sockaddr(queue[i].to);
+    send_iovs_[i].iov_base = queue[i].payload.data();
+    send_iovs_[i].iov_len = queue[i].payload.size();
+    msghdr& hdr = send_msgs_[i].msg_hdr;
+    hdr = msghdr{};
+    hdr.msg_name = &send_addrs_[i];
+    hdr.msg_namelen = sizeof send_addrs_[i];
+    hdr.msg_iov = &send_iovs_[i];
+    hdr.msg_iovlen = 1;
+    if (queue[i].from_host != 0) {
+      // The reply leaves from its endpoint's own loopback address.
+      hdr.msg_control = send_control_[i].bytes;
+      hdr.msg_controllen = sizeof send_control_[i].bytes;
+      cmsghdr* c = CMSG_FIRSTHDR(&hdr);
+      c->cmsg_level = IPPROTO_IP;
+      c->cmsg_type = IP_PKTINFO;
+      c->cmsg_len = CMSG_LEN(sizeof(in_pktinfo));
+      in_pktinfo info{};
+      info.ipi_spec_dst.s_addr = htonl(queue[i].from_host);
+      std::memcpy(CMSG_DATA(c), &info, sizeof info);
     }
   }
-  for (; off < queue.size(); ++off) {
-    send_udp_now(endpoint->udp_fd, queue[off].first, queue[off].second);
+  std::size_t off = 0;
+  while (off < count) {
+    const int n = sendmmsg(socket->fd, send_msgs_.data() + off,
+                           static_cast<unsigned>(count - off), 0);
+    // Non-blocking best effort: a full socket buffer (or a transient error)
+    // drops the unsent tail, and the sender's retry logic treats it as
+    // network loss (exactly UDP semantics).
+    if (n <= 0) break;
+    ++udp_send_batches_;
+    off += static_cast<std::size_t>(n);
   }
   queue.clear();
 }
 
 void WireTransport::flush_udp_sends() {
-  // flush_endpoint_udp never *adds* to udp_pending_ (sends during a flush
-  // would be nested handler work, which only happens inside poll), so a
-  // single sweep empties it.
+  // flush_udp never *adds* to udp_pending_ (sends during a flush would be
+  // nested handler work, which only happens inside poll), so a single sweep
+  // empties it.
   while (!udp_pending_.empty()) {
-    Endpoint* endpoint = udp_pending_.back();
+    UdpSocket* socket = udp_pending_.back();
     udp_pending_.pop_back();
-    flush_endpoint_udp(endpoint);
+    flush_udp(socket);
   }
 }
 
@@ -480,14 +503,22 @@ void WireTransport::arm_idle_sweep() {
   idle_sweep_timer_ = loop_.schedule(interval, [this] { sweep_idle_conns(); });
 }
 
-void WireTransport::on_accept_ready(Endpoint* endpoint) {
+void WireTransport::on_accept_ready() {
   while (true) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof peer;
-    int fd = accept4(endpoint->tcp_listen_fd,
-                     reinterpret_cast<sockaddr*>(&peer), &peer_len,
+    int fd = accept4(serving_tcp_fd_, nullptr, nullptr,
                      SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;
+    // The address the client dialled picks the endpoint.
+    sockaddr_in local{};
+    socklen_t local_len = sizeof local;
+    getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len);
+    const std::size_t slot = map_.index_of(ntohl(local.sin_addr.s_addr));
+    Endpoint* endpoint = slot < serving_.size() ? serving_[slot] : nullptr;
+    if (endpoint == nullptr) {
+      ++datagrams_unroutable_;  // a mapped address nobody has bound
+      close(fd);
+      continue;
+    }
     if (options_.max_tcp_conns > 0 &&
         accepted_conns_ >= options_.max_tcp_conns) {
       evict_for_cap();
@@ -585,7 +616,7 @@ void WireTransport::on_conn_event(TcpConn* conn, std::uint32_t events) {
   }
   if ((events & EPOLLIN) != 0) {
     while (true) {
-      ssize_t n = read(conn->fd, recv_buffer_.data(), recv_buffer_.size());
+      ssize_t n = read(conn->fd, recv_block_.get(), kMaxDatagram);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         close_conn(conn);
@@ -599,9 +630,12 @@ void WireTransport::on_conn_event(TcpConn* conn, std::uint32_t events) {
       IpAddress source = conn->peer_vaddr;
       IpAddress destination = conn->local_vaddr;
       bool ok = conn->reassembler.feed(
-          BytesView(recv_buffer_.data(), static_cast<std::size_t>(n)),
+          BytesView(recv_block_.get(), static_cast<std::size_t>(n)),
           [this, &source, &destination](BytesView frame) {
-            deliver(source, destination, frame, /*tcp=*/true);
+            auto endpoint = endpoints_.find(destination);
+            if (endpoint != endpoints_.end()) {
+              deliver(*endpoint->second, source, frame, /*tcp=*/true);
+            }
           });
       // The delivery handler can legally unbind/close this connection.
       auto self = tcp_conns_.find(source);
@@ -668,7 +702,7 @@ void WireTransport::run_forever() {
   while (!stop_.load(std::memory_order_relaxed) && error().empty()) {
     loop_.poll(kMaxPollWait);
     // Responses queued by handlers during this poll batch go out in one
-    // sendmmsg per endpoint before the next blocking wait.
+    // sendmmsg per socket before the next blocking wait.
     flush_udp_sends();
   }
 }

@@ -6,21 +6,33 @@
 // virtual addresses, send wire-format payloads, and schedule timers exactly
 // as they do on SimNetwork.
 //
-// Address model (see address_map.hpp): binding a virtual address that is in
-// the WireAddressMap opens *serving* sockets on its mapped real endpoint
-// (UDP + TCP listener, optionally SO_REUSEPORT so N worker transports
-// share the load); binding an unmapped virtual address opens a *client*
-// UDP socket on an ephemeral port. Real peers without a static mapping are
-// given transient session addresses so replies stay plain IpAddress sends.
+// Address model (see address_map.hpp): every virtual address in the
+// WireAddressMap is served from one *serving pair* — a UDP socket and a TCP
+// listener bound to 0.0.0.0:base.port on "lo" (SO_BINDTODEVICE, which Linux
+// allows without privileges since 5.7), opened when the first mapped
+// address is bound and closed when the last is unbound. A datagram's
+// IP_PKTINFO destination picks its endpoint, each reply leaves from its
+// endpoint's own address (ipi_spec_dst), and an accepted connection's
+// getsockname() address picks its endpoint. With reuse_port, N worker
+// transports each open their own pair on the same port and the kernel
+// spreads flows across them. Binding an unmapped virtual address opens a
+// *client* UDP socket on an ephemeral port. Real peers without a static
+// mapping are given transient session addresses so replies stay plain
+// IpAddress sends.
 //
 // Threading: a WireTransport is single-threaded like SimNetwork. The only
 // cross-thread-safe entry point is stop(), which wakes run_forever().
 #pragma once
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+
+#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "net/transport.hpp"
 #include "net/wire/address_map.hpp"
@@ -31,8 +43,8 @@
 namespace dnsboot::net {
 
 struct WireTransportOptions {
-  // SO_REUSEPORT on serving sockets: N worker threads each run their own
-  // transport bound to the same real endpoints; the kernel spreads flows.
+  // SO_REUSEPORT on the serving pair: N worker threads each run their own
+  // transport bound to the same port; the kernel spreads flows.
   bool reuse_port = false;
   // Accepted-TCP-connection cap per transport. At the cap, accepting a new
   // connection first evicts the oldest-idle accepted connection — a
@@ -47,13 +59,6 @@ struct WireTransportOptions {
   // tier that never answers near the frame limit can set it lower so a
   // client streaming an over-claimed frame is shed early.
   std::size_t tcp_max_buffered = 2 + 65535;
-  // UDP syscall batching (DESIGN.md §14): drain up to this many datagrams
-  // per recvmmsg call, and queue outbound datagrams per endpoint, flushing
-  // with one sendmmsg when the batch fills or before the next poll. 0 or 1
-  // disables batching; when the kernel rejects the mmsg calls (ENOSYS /
-  // EINVAL) the transport falls back to recvfrom/sendto permanently, so the
-  // option is always safe to leave on.
-  std::size_t udp_batch = 16;
 };
 
 class WireTransport : public Transport {
@@ -119,18 +124,33 @@ class WireTransport : public Transport {
   }
 
  private:
+  // recvmmsg/sendmmsg move at most this many datagrams per call, and a
+  // socket's outbound queue flushes when it reaches it (DESIGN.md §14.3).
+  static constexpr std::size_t kUdpBatch = 16;
+  static constexpr std::size_t kMaxDatagram = 65535;
+
+  // One outbound datagram waiting for its socket's sendmmsg flush.
+  struct OutDatagram {
+    RealEndpoint to;
+    std::uint32_t from_host = 0;  // source address; 0 on a client socket
+    Bytes payload;
+  };
+  // A UDP socket and its outbound queue: the serving socket every mapped
+  // endpoint shares, or one client endpoint's own socket. Queued at most
+  // one poll iteration: send() flushes at kUdpBatch, the run loops flush
+  // before every poll, and a flush always empties the queue (unsendable
+  // tails drop with plain UDP-loss semantics).
+  struct UdpSocket {
+    int fd = -1;
+    std::vector<OutDatagram> outq;
+    bool queued = false;  // true while on udp_pending_
+  };
   struct Endpoint {
     IpAddress vaddr;
     DatagramHandler handler;
-    int udp_fd = -1;
-    int tcp_listen_fd = -1;  // serving endpoints only
-    RealEndpoint real;       // bound real address
-    // Outbound UDP datagrams queued for one sendmmsg flush. Queued at most
-    // one poll iteration: send() flushes at udp_batch, the run loops flush
-    // before every poll, and a flush always empties the queue (unsendable
-    // tails drop with plain UDP-loss semantics).
-    std::vector<std::pair<RealEndpoint, Bytes>> udp_outq;
-    bool udp_queued = false;  // true while on udp_pending_
+    RealEndpoint real;  // mapped address, or the client socket's own
+    bool serving = false;
+    UdpSocket client;  // client endpoints only; serving ones use serving_udp_
   };
   struct TcpConn {
     int fd = -1;
@@ -150,17 +170,23 @@ class WireTransport : public Transport {
     SimTime last_activity = 0;
   };
 
-  void open_serving_sockets(Endpoint* endpoint);
+  void open_serving_pair();
+  // One socket of the pair (SOCK_DGRAM or SOCK_STREAM), or -1 after fail().
+  int open_serving_socket(int type);
+  void close_serving_pair();
   void open_client_socket(Endpoint* endpoint);
-  void watch_udp(Endpoint* endpoint);
-  void watch_listener(Endpoint* endpoint);
-  void on_udp_readable(Endpoint* endpoint);
-  void recv_udp_unbatched(int fd, const IpAddress& vaddr);
-  void send_udp_now(int fd, const RealEndpoint& real, BytesView payload);
-  // sendmmsg flush of one endpoint's queue / of every queued endpoint.
-  void flush_endpoint_udp(Endpoint* endpoint);
+  // recvmmsg into the receive arrays; returns the datagram count (0 when
+  // the socket is drained or failed). `pktinfo` asks for each datagram's
+  // destination address (serving socket only).
+  std::size_t recv_batch(int fd, bool pktinfo);
+  void on_serving_readable();
+  void on_client_readable(const IpAddress& vaddr);
+  IpAddress source_for(const RealEndpoint& real);
+  void queue_udp(UdpSocket* socket, OutDatagram datagram);
+  // sendmmsg flush of one socket's queue / of every queued socket.
+  void flush_udp(UdpSocket* socket);
   void flush_udp_sends();
-  void on_accept_ready(Endpoint* endpoint);
+  void on_accept_ready();
   void on_conn_event(TcpConn* conn, std::uint32_t events);
   void queue_frame(TcpConn* conn, BytesView payload);
   void flush_conn(TcpConn* conn);
@@ -170,8 +196,8 @@ class WireTransport : public Transport {
                             const IpAddress& peer_vaddr,
                             const RealEndpoint& real);
   IpAddress session_address_for(const RealEndpoint& real);
-  void deliver(const IpAddress& source, const IpAddress& destination,
-               BytesView payload, bool tcp);
+  void deliver(Endpoint& endpoint, const IpAddress& source, BytesView payload,
+               bool tcp);
   void fail(const std::string& what);
   std::size_t pending_tcp_writes() const;
   // Slowloris defenses: evict the oldest-idle accepted connection (cap
@@ -197,6 +223,12 @@ class WireTransport : public Transport {
 
   std::unordered_map<IpAddress, std::unique_ptr<Endpoint>, IpAddressHash>
       endpoints_;
+  // The serving pair, and the bound serving endpoint of each map index
+  // (null while unbound). Open exactly while serving_bound_ > 0.
+  UdpSocket serving_udp_;
+  int serving_tcp_fd_ = -1;
+  std::vector<Endpoint*> serving_;
+  std::size_t serving_bound_ = 0;
   // Live TCP connections keyed by peer virtual address (static for client
   // connections, session for accepted ones) — exactly the key send() has.
   std::unordered_map<IpAddress, std::unique_ptr<TcpConn>, IpAddressHash>
@@ -209,16 +241,27 @@ class WireTransport : public Transport {
   std::size_t accepted_conns_ = 0;
   std::uint64_t idle_sweep_timer_ = 0;  // 0 when not armed
 
-  Bytes recv_buffer_;
-  // Per-message receive buffers for recvmmsg, udp_batch × 65535, allocated
-  // on the first batched read. Endpoints with queued outbound datagrams
-  // (ordered only for bookkeeping — flush order does not affect delivery).
-  std::vector<Bytes> mmsg_buffers_;
-  std::vector<Endpoint*> udp_pending_;
-  // Sticky runtime fallbacks: flipped off after the kernel rejects the
-  // batched syscall (ENOSYS/EINVAL), never retried.
-  bool mmsg_recv_ok_ = true;
-  bool mmsg_send_ok_ = true;
+  // One uninitialised block of kUdpBatch × kMaxDatagram receive buffers;
+  // only pages the kernel writes datagrams into become resident. TCP reads
+  // use the first buffer. The headers, iovecs, addresses and control
+  // buffers of both directions are reused across calls; receive and send
+  // keep separate sets because a delivery handler's send can flush while a
+  // received batch is still being delivered.
+  struct alignas(cmsghdr) PktinfoControl {
+    unsigned char bytes[CMSG_SPACE(sizeof(in_pktinfo))];
+  };
+  std::unique_ptr<std::uint8_t[]> recv_block_;
+  std::array<mmsghdr, kUdpBatch> recv_msgs_{};
+  std::array<iovec, kUdpBatch> recv_iovs_{};
+  std::array<sockaddr_in, kUdpBatch> recv_peers_{};
+  std::array<PktinfoControl, kUdpBatch> recv_control_{};
+  std::array<mmsghdr, kUdpBatch> send_msgs_{};
+  std::array<iovec, kUdpBatch> send_iovs_{};
+  std::array<sockaddr_in, kUdpBatch> send_addrs_{};
+  std::array<PktinfoControl, kUdpBatch> send_control_{};
+  // Sockets with queued outbound datagrams (ordered only for bookkeeping —
+  // flush order does not affect delivery).
+  std::vector<UdpSocket*> udp_pending_;
   std::string error_;
 
   // Registry before its views (members initialize in declaration order).

@@ -236,6 +236,7 @@ void QueryEngine::send_attempt(std::uint16_t id) {
     auto entry = pending_.find(id);
     if (entry == pending_.end()) return;  // answered while queued
     ++stats_.sends;
+    entry->second.sent = true;
     entry->second.sent_at = network_.now();
     net::Datagram dgram;
     dgram.source = local_address_;
@@ -337,6 +338,13 @@ void QueryEngine::handle_datagram(const net::Datagram& dgram) {
     if (++port_mismatches_[p.server] >= kPortMismatchMarkThreshold) {
       mark_under_attack(p.server);
     }
+    count_forged_candidate(it->first, p);
+    return;
+  }
+  // Every check above passed, but no send of this query has fired yet: it
+  // is still queued behind pacing, so the answer is forged by construction.
+  if (!p.sent) {
+    ++stats_.mismatched;
     count_forged_candidate(it->first, p);
     return;
   }

@@ -119,6 +119,9 @@ class QueryEngine {
     std::uint64_t timeout_timer = 0;
     bool use_tcp = false;  // set after a truncated (TC=1) UDP response
     net::SimTime sent_at = 0;        // when the last datagram left (for RTT)
+    // A send of this query has fired. Until then no answer can be
+    // authentic; sent_at cannot tell, since a send at time 0 is legitimate.
+    bool sent = false;
     net::SimTime prev_backoff = 0;   // decorrelated-jitter state
     net::SimTime issued_at = 0;      // when the logical query was issued
     bool traced = false;             // sampled for a trace span

@@ -514,6 +514,57 @@ TEST(StrictFieldTest, JournalDecodeRejectsNonDigitIntegers) {
   }
 }
 
+// Spellings that parse and carry a valid checksum but are not what encode()
+// writes. decode() must refuse each, and recover() must cut it as a tail.
+TEST(StrictFieldTest, JournalRejectsNonCanonicalSpellings) {
+  Transition t = sample_transition();
+  t.seq = 7;
+  t.at = 100;
+  t.zone = name_of("z.example.");
+  const std::vector<std::string> fields = split(Journal::encode(t), '\t');
+  ASSERT_EQ(sealed_record(fields), Journal::encode(t));
+  ASSERT_TRUE(Journal::decode(sealed_record(fields)).ok());
+  struct Spelling {
+    std::size_t field;
+    const char* text;
+  };
+  const Spelling spellings[] = {
+      {1, "007"},             // seq 7 with leading zeros
+      {2, "0100"},            // at 100 with a leading zero
+      {10, ""},               // empty operator (encode writes "-")
+      {3, "z.example"},       // zone without its trailing dot
+      {3, "\\122.example."},  // 'z' as a decimal escape
+  };
+  for (const Spelling& spelling : spellings) {
+    std::vector<std::string> edited = fields;
+    edited[spelling.field] = spelling.text;
+    const std::string line = sealed_record(edited);
+    EXPECT_FALSE(Journal::decode(line).ok())
+        << "field " << spelling.field << " = '" << spelling.text << "'";
+
+    const std::string dir = make_temp_dir();
+    const std::string path = dir + "/journal.log";
+    {
+      auto journal = Journal::open(path, "tag");
+      ASSERT_TRUE(journal.ok());
+      Transition first = sample_transition();
+      first.seq = 1;
+      ASSERT_TRUE(journal->append(first).ok());
+    }
+    const std::string intact = read_file(path);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::app);
+      out << line << '\n';
+    }
+    auto recovered = Journal::recover(path);
+    ASSERT_TRUE(recovered.ok());
+    EXPECT_EQ(recovered->lines.size(), 1u) << spelling.text;
+    EXPECT_EQ(recovered->truncated_bytes, line.size() + 1) << spelling.text;
+    EXPECT_EQ(read_file(path), intact) << spelling.text;
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST(StrictFieldTest, SnapshotHeaderRejectsNonDigitIntegers) {
   SnapshotMeta meta;
   meta.world_tag = "tag";

@@ -171,6 +171,86 @@ TEST(QueryEngine, IgnoresSpoofedSource) {
   EXPECT_GE(engine.stats().mismatched, 1u);
 }
 
+// --- Answers to queries that never left ------------------------------------------
+
+// An answer that matches a pending query in everything — id, source, question
+// — carrying 6.6.6.6. `server` is an address with nothing bound, so only
+// injected answers ever reach the engine.
+Bytes matching_answer(std::uint16_t id) {
+  dns::Message answer =
+      dns::Message::make_query(id, name_of("www.example.com."), dns::RRType::kA);
+  answer.header.qr = true;
+  dns::ResourceRecord rr;
+  rr.name = name_of("www.example.com.");
+  rr.type = dns::RRType::kA;
+  rr.rdata = dns::ARdata{{6, 6, 6, 6}};
+  answer.answers.push_back(rr);
+  return answer.encode();
+}
+
+// One query per second to a silent server, with sequential ids: the first
+// query (id 1) leaves at t=0, the second (id 2) waits in the pacing queue
+// until t=1 s.
+struct QueuedQueryFixture {
+  EngineFixture fx;
+  net::IpAddress silent = net::IpAddress::synthetic_v4(50);
+  QueryEngine engine{fx.network, fx.client, [] {
+                       QueryEngineOptions options;
+                       options.per_server_qps = 1;
+                       options.randomize_ids = false;
+                       options.attempts = 1;
+                       return options;
+                     }()};
+  std::vector<bool> ok;  // outcome per id, in completion order
+
+  QueuedQueryFixture() {
+    for (int i = 0; i < 2; ++i) {
+      engine.query(silent, name_of("www.example.com."), dns::RRType::kA,
+                   [this](Result<dns::Message> result) {
+                     ok.push_back(result.ok());
+                   });
+    }
+  }
+  void inject_at(net::SimTime at, std::uint16_t id) {
+    fx.network.schedule(at, [this, id] {
+      fx.network.send(silent, fx.client, matching_answer(id));
+    });
+  }
+};
+
+TEST(QueryEngine, AnswerToQueuedQueryIsRejected) {
+  QueuedQueryFixture q;
+  q.inject_at(100 * net::kMillisecond, 2);  // id 2 leaves at 1 s
+  q.fx.network.run();
+  // The forged answer counted against the queued query, and the query then
+  // ran its course: sent at 1 s, timed out unanswered.
+  EXPECT_EQ(q.engine.defense().forged_rejected, 1u);
+  EXPECT_EQ(q.engine.stats().mismatched, 1u);
+  EXPECT_EQ(q.engine.stats().responses, 0u);
+  EXPECT_EQ(q.engine.stats().timeouts, 2u);
+  EXPECT_EQ(q.ok, (std::vector<bool>{false, false}));
+}
+
+TEST(QueryEngine, SameAnswerAfterTheSendIsAccepted) {
+  QueuedQueryFixture q;
+  q.inject_at(1100 * net::kMillisecond, 2);  // after id 2's send at 1 s
+  q.fx.network.run();
+  EXPECT_EQ(q.engine.defense().forged_rejected, 0u);
+  EXPECT_EQ(q.engine.stats().responses, 1u);
+  // id 2 is answered at 1.1 s, before id 1 times out at 2 s.
+  EXPECT_EQ(q.engine.stats().timeouts, 1u);
+  EXPECT_EQ(q.ok, (std::vector<bool>{true, false}));
+}
+
+TEST(QueryEngine, AnswerToSendAtTimeZeroIsAccepted) {
+  QueuedQueryFixture q;
+  q.inject_at(0, 1);  // id 1 left at simulated time 0
+  q.fx.network.run();
+  EXPECT_EQ(q.engine.defense().forged_rejected, 0u);
+  EXPECT_EQ(q.engine.stats().responses, 1u);
+  EXPECT_EQ(q.ok, (std::vector<bool>{true, false}));
+}
+
 // --- Adaptive retry policy --------------------------------------------------------
 
 TEST(QueryEngine, InterAttemptGapsGrowWithEscalatingTimeouts) {

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <memory>
 #include <string>
@@ -260,16 +261,21 @@ TEST(TcpFraming, FailsWhenPartialFrameExceedsCap) {
 
 // --- WireAddressMap ------------------------------------------------------
 
-TEST(WireAddressMapTest, AssignsSequentialPortsInOrder) {
+TEST(WireAddressMapTest, AssignsSequentialAddressesInOrder) {
   WireAddressMap map(RealEndpoint{0x7f000001, 5300});
   IpAddress a = IpAddress::synthetic_v4(10);
   IpAddress b = IpAddress::synthetic_v4(11);
   ASSERT_TRUE(map.add(a));
   ASSERT_TRUE(map.add(b));
-  EXPECT_EQ(map.real_for(a)->port, 5300);
-  EXPECT_EQ(map.real_for(b)->port, 5301);
-  EXPECT_EQ(map.virtual_for(RealEndpoint{0x7f000001, 5301}), b);
-  EXPECT_FALSE(map.virtual_for(RealEndpoint{0x7f000001, 5302}).has_value());
+  EXPECT_EQ(map.real_for(a), (RealEndpoint{0x7f000001, 5300}));
+  EXPECT_EQ(map.real_for(b), (RealEndpoint{0x7f000002, 5300}));
+  EXPECT_EQ(map.virtual_for(RealEndpoint{0x7f000002, 5300}), b);
+  EXPECT_EQ(map.index_of(0x7f000002), 1u);
+  EXPECT_EQ(map.index_of(0x7f000003), map.size());
+  EXPECT_EQ(map.index_of(0x7f000000), map.size());
+  EXPECT_FALSE(map.virtual_for(RealEndpoint{0x7f000003, 5300}).has_value());
+  // Every endpoint shares the base port: another port maps nothing.
+  EXPECT_FALSE(map.virtual_for(RealEndpoint{0x7f000001, 5301}).has_value());
 }
 
 TEST(WireAddressMapTest, RepeatAddIsIdempotent) {
@@ -281,11 +287,18 @@ TEST(WireAddressMapTest, RepeatAddIsIdempotent) {
   EXPECT_EQ(map.real_for(a)->port, 6000);
 }
 
-TEST(WireAddressMapTest, RefusesPortSpaceExhaustion) {
-  WireAddressMap map(RealEndpoint{0x7f000001, 65534});
-  EXPECT_TRUE(map.add(IpAddress::synthetic_v4(1)));   // 65534
-  EXPECT_TRUE(map.add(IpAddress::synthetic_v4(2)));   // 65535
-  EXPECT_FALSE(map.add(IpAddress::synthetic_v4(3)));  // would be 65536
+TEST(WireAddressMapTest, RefusesToLeaveLoopback) {
+  WireAddressMap map(RealEndpoint{0x7ffffffd, 5300});
+  EXPECT_TRUE(map.add(IpAddress::synthetic_v4(1)));   // 127.255.255.253
+  EXPECT_TRUE(map.add(IpAddress::synthetic_v4(2)));   // 127.255.255.254
+  EXPECT_FALSE(map.add(IpAddress::synthetic_v4(3)));  // the broadcast address
+  EXPECT_EQ(map.size(), 2u);
+  // A base outside 127.0.0.0/8 maps nothing.
+  WireAddressMap public_base(RealEndpoint{0xc0000201, 5300});  // 192.0.2.1
+  EXPECT_FALSE(public_base.add(IpAddress::synthetic_v4(1)));
+  EXPECT_EQ(public_base.size(), 0u);
+  EXPECT_TRUE(is_loopback(0x7f000001));
+  EXPECT_FALSE(is_loopback(0x80000001));
 }
 
 TEST(WireAddressMapTest, ParsesEndpoints) {
@@ -394,9 +407,7 @@ TEST(WireTransportTest, TcpQueryAndResponseOverOneConnection) {
 
 TEST(WireTransportTest, UdpBurstIsBatchedWithMmsg) {
   WireFixture fx;
-  WireTransportOptions options;
-  options.udp_batch = 16;
-  WireTransport transport(fx.map, options);
+  WireTransport transport(fx.map);
   std::size_t server_seen = 0;
   transport.bind(fx.server_vaddr, [&](const Datagram& dgram) {
     ++server_seen;
@@ -409,8 +420,8 @@ TEST(WireTransportTest, UdpBurstIsBatchedWithMmsg) {
   ASSERT_TRUE(transport.error().empty()) << transport.error();
 
   // A burst larger than the batch: the client queue flushes mid-send (at
-  // udp_batch) and again before the poll; the server drains with recvmmsg
-  // and its echoes ride one sendmmsg per poll iteration.
+  // 16 datagrams) and again before the poll; the server drains with
+  // recvmmsg and its echoes ride one sendmmsg per poll iteration.
   constexpr std::size_t kBurst = 50;
   for (std::size_t i = 0; i < kBurst; ++i) {
     transport.send(fx.client_vaddr, fx.server_vaddr,
@@ -423,38 +434,16 @@ TEST(WireTransportTest, UdpBurstIsBatchedWithMmsg) {
   EXPECT_EQ(transport.datagrams_delivered(), 2 * kBurst);
 
   // Batching engaged: far fewer syscalls than datagrams in each direction.
-  // (On a kernel without mmsg the sticky fallback keeps the counters at 0
-  // and delivery above still proves the degraded path.)
   const obs::MetricsRegistry* metrics = transport.metrics_registry();
   ASSERT_NE(metrics, nullptr);
   const std::uint64_t send_batches =
       metrics->counter_value("dnsboot_wire_udp_send_batches");
   const std::uint64_t recv_batches =
       metrics->counter_value("dnsboot_wire_udp_recv_batches");
-  if (send_batches > 0) {
-    EXPECT_LT(send_batches, 2 * kBurst);
-  }
-  if (recv_batches > 0) {
-    EXPECT_LT(recv_batches, 2 * kBurst);
-  }
-}
-
-TEST(WireTransportTest, UdpBatchingDisabledStillDelivers) {
-  WireFixture fx;
-  WireTransportOptions options;
-  options.udp_batch = 0;  // plain sendto/recvfrom path
-  WireTransport transport(fx.map, options);
-  std::size_t server_seen = 0;
-  transport.bind(fx.server_vaddr,
-                 [&](const Datagram&) { ++server_seen; });
-  transport.bind(fx.client_vaddr, [](const Datagram&) {});
-  for (std::size_t i = 0; i < 10; ++i) {
-    transport.send(fx.client_vaddr, fx.server_vaddr, Bytes{1});
-  }
-  ASSERT_TRUE(run_until(transport, [&] { return server_seen >= 10; }));
-  const obs::MetricsRegistry* metrics = transport.metrics_registry();
-  EXPECT_EQ(metrics->counter_value("dnsboot_wire_udp_send_batches"), 0u);
-  EXPECT_EQ(metrics->counter_value("dnsboot_wire_udp_recv_batches"), 0u);
+  EXPECT_GT(send_batches, 0u);
+  EXPECT_LT(send_batches, 2 * kBurst);
+  EXPECT_GT(recv_batches, 0u);
+  EXPECT_LT(recv_batches, 2 * kBurst);
 }
 
 TEST(WireTransportTest, CountsUnroutableSends) {
@@ -482,15 +471,20 @@ TEST(WireTransportTest, BindErrorIsReported) {
 
 // --- TCP serving-tier defenses -------------------------------------------
 
-// Raw blocking TCP client — the attacker side of the slowloris tests. The
-// engine would never misbehave like this, so the tests speak socket(2).
-int raw_tcp_connect(std::uint16_t port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
+sockaddr_in loopback_addr(std::uint32_t host, std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(0x7f000001);
+  addr.sin_addr.s_addr = htonl(host);
+  return addr;
+}
+
+// Raw blocking TCP client — the attacker side of the slowloris tests. The
+// engine would never misbehave like this, so the tests speak socket(2).
+int raw_tcp_connect(std::uint16_t port, std::uint32_t host = 0x7f000001) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr = loopback_addr(host, port);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
   return fd;
@@ -629,6 +623,200 @@ TEST(WireTransportTest, MalformedTcpFrameIsShedWithoutKillingWorker) {
   ASSERT_TRUE(run_until(transport, [&] { return frames_delivered >= 1; }));
   EXPECT_EQ(transport.malformed_shed(), 1u);
   ::close(good);
+}
+
+// --- One serving pair per transport ---------------------------------------
+
+// Three mapped endpoints (127.0.0.1..3 at one port) on one transport, each
+// answering with its own index: over UDP to the datagram's source, over TCP
+// on the connection it came in on.
+struct ThreeEndpointFixture {
+  std::uint16_t port = next_base_port();
+  WireAddressMap map{RealEndpoint{0x7f000001, port}};
+  std::vector<IpAddress> servers;
+  std::vector<IpAddress> reached;  // destination of every delivery
+
+  ThreeEndpointFixture() {
+    for (int i = 0; i < 3; ++i) {
+      servers.push_back(IpAddress::synthetic_v4(200 + i));
+      map.add(servers.back());
+    }
+  }
+
+  void bind_echo(WireTransport& transport, std::size_t index) {
+    const IpAddress self = servers[index];
+    transport.bind(self, [this, &transport, self, index](const Datagram& dgram) {
+      reached.push_back(dgram.destination);
+      transport.send(self, dgram.source,
+                     Bytes{static_cast<std::uint8_t>(index)}, dgram.tcp);
+    });
+  }
+};
+
+// Drain every reply waiting on a raw UDP socket as (source host, first
+// payload byte); every reply must come from the serving port.
+void drain_replies(int fd, std::uint16_t port,
+                   std::vector<std::pair<std::uint32_t, int>>* replies) {
+  std::uint8_t byte = 0;
+  sockaddr_in from{};
+  socklen_t len = sizeof from;
+  while (::recvfrom(fd, &byte, 1, MSG_DONTWAIT,
+                    reinterpret_cast<sockaddr*>(&from), &len) == 1) {
+    EXPECT_EQ(ntohs(from.sin_port), port);
+    replies->emplace_back(ntohl(from.sin_addr.s_addr), byte);
+    len = sizeof from;
+  }
+}
+
+void send_raw(int fd, std::uint32_t host, std::uint16_t port) {
+  const std::uint8_t query = 0x42;
+  sockaddr_in to = loopback_addr(host, port);
+  ASSERT_EQ(::sendto(fd, &query, 1, 0, reinterpret_cast<sockaddr*>(&to),
+                     sizeof to),
+            1);
+}
+
+TEST(WireTransportTest, ThreeEndpointsOnOnePairAnswerFromTheirOwnAddresses) {
+  ThreeEndpointFixture fx;
+  WireTransport transport(fx.map);
+  for (std::size_t i = 0; i < fx.servers.size(); ++i) {
+    fx.bind_echo(transport, i);
+  }
+  ASSERT_TRUE(transport.error().empty()) << transport.error();
+
+  int client = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(client, 0);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    send_raw(client, 0x7f000001 + i, fx.port);
+  }
+  std::vector<std::pair<std::uint32_t, int>> replies;
+  ASSERT_TRUE(run_until(transport, [&] {
+    drain_replies(client, fx.port, &replies);
+    return replies.size() >= 3;
+  }));
+  // Each endpoint got the datagram sent to its address and answered from
+  // that address, through the one shared socket.
+  std::sort(replies.begin(), replies.end());
+  ASSERT_EQ(replies.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(replies[i].first, 0x7f000001 + i);
+    EXPECT_EQ(replies[i].second, static_cast<int>(i));
+  }
+  std::sort(fx.reached.begin(), fx.reached.end());
+  EXPECT_EQ(fx.reached, fx.servers);
+  ::close(client);
+}
+
+TEST(WireTransportTest, TcpQueryReachesTheEndpointItDialled) {
+  ThreeEndpointFixture fx;
+  WireTransport transport(fx.map);
+  for (std::size_t i = 0; i < fx.servers.size(); ++i) {
+    fx.bind_echo(transport, i);
+  }
+  ASSERT_TRUE(transport.error().empty()) << transport.error();
+
+  int fd = raw_tcp_connect(fx.port, 0x7f000002);
+  Bytes frame = frame_bytes("q");
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+  std::uint8_t reply[3] = {0, 0, 0xff};
+  std::size_t got = 0;
+  ASSERT_TRUE(run_until(transport, [&] {
+    const ssize_t n = ::recv(fd, reply + got, sizeof reply - got, MSG_DONTWAIT);
+    if (n > 0) got += static_cast<std::size_t>(n);
+    return got == sizeof reply;
+  }));
+  ASSERT_EQ(fx.reached.size(), 1u);
+  EXPECT_EQ(fx.reached[0], fx.servers[1]);
+  EXPECT_EQ(reply[1], 1);  // one-byte frame
+  EXPECT_EQ(reply[2], 1);  // answered by endpoint 1 (127.0.0.2)
+  ::close(fd);
+}
+
+TEST(WireTransportTest, UnboundMappedAddressIsUnroutableWhileNeighboursAnswer) {
+  ThreeEndpointFixture fx;
+  WireTransport transport(fx.map);
+  fx.bind_echo(transport, 0);
+  fx.bind_echo(transport, 2);  // 127.0.0.2 is mapped but never bound
+  ASSERT_TRUE(transport.error().empty()) << transport.error();
+
+  int client = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(client, 0);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    send_raw(client, 0x7f000001 + i, fx.port);
+  }
+  std::vector<std::pair<std::uint32_t, int>> replies;
+  ASSERT_TRUE(run_until(transport, [&] {
+    drain_replies(client, fx.port, &replies);
+    return replies.size() >= 2 && transport.datagrams_unroutable() >= 1;
+  }));
+  std::sort(replies.begin(), replies.end());
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0], (std::pair<std::uint32_t, int>{0x7f000001, 0}));
+  EXPECT_EQ(replies[1], (std::pair<std::uint32_t, int>{0x7f000003, 2}));
+  EXPECT_EQ(transport.datagrams_unroutable(), 1u);
+  EXPECT_EQ(transport.datagrams_delivered(), 2u);
+  ::close(client);
+}
+
+TEST(WireTransportTest, ServingPairOpensWithFirstMappedBindClosesWithLast) {
+  WireFixture fx;
+  // A transport that binds only unmapped addresses is a pure client: it
+  // holds no serving socket, so a serving transport without SO_REUSEPORT
+  // still gets the port.
+  WireTransport client(fx.map);
+  client.bind(fx.client_vaddr, [](const Datagram&) {});
+  WireTransport server(fx.map);
+  server.bind(fx.server_vaddr, [](const Datagram&) {});
+  ASSERT_TRUE(client.error().empty()) << client.error();
+  ASSERT_TRUE(server.error().empty()) << server.error();
+  // Unbinding the last mapped endpoint closes the pair and frees the port.
+  server.unbind(fx.server_vaddr);
+  WireTransport successor(fx.map);
+  successor.bind(fx.server_vaddr, [](const Datagram&) {});
+  EXPECT_TRUE(successor.error().empty()) << successor.error();
+}
+
+TEST(WireTransportTest, ReusePortTransportsShareThePort) {
+  ThreeEndpointFixture fx;
+  WireTransportOptions options;
+  options.reuse_port = true;
+  WireTransport first(fx.map, options);
+  WireTransport second(fx.map, options);
+  for (std::size_t i = 0; i < fx.servers.size(); ++i) {
+    fx.bind_echo(first, i);
+    fx.bind_echo(second, i);
+  }
+  ASSERT_TRUE(first.error().empty()) << first.error();
+  ASSERT_TRUE(second.error().empty()) << second.error();
+
+  // Many client sockets are many flows; the kernel spreads them across the
+  // two pairs, and every query is answered from the address it was sent to.
+  constexpr std::uint32_t kClients = 32;
+  std::vector<int> clients;
+  for (std::uint32_t i = 0; i < kClients; ++i) {
+    clients.push_back(::socket(AF_INET, SOCK_DGRAM, 0));
+    ASSERT_GE(clients.back(), 0);
+    send_raw(clients.back(), 0x7f000001 + i % 3, fx.port);
+  }
+  std::vector<std::pair<std::uint32_t, int>> replies;
+  for (int pass = 0; pass < 500 && replies.size() < kClients; ++pass) {
+    for (WireTransport* transport : {&first, &second}) {
+      const std::uint64_t guard = transport->schedule(kMillisecond, [] {});
+      transport->run(1);
+      transport->cancel(guard);
+    }
+    for (int fd : clients) drain_replies(fd, fx.port, &replies);
+  }
+  ASSERT_EQ(replies.size(), kClients);
+  for (const auto& [host, index] : replies) {
+    EXPECT_EQ(host, 0x7f000001u + static_cast<std::uint32_t>(index));
+  }
+  EXPECT_EQ(first.datagrams_delivered() + second.datagrams_delivered(),
+            kClients);
+  EXPECT_GT(first.datagrams_delivered(), 0u);
+  EXPECT_GT(second.datagrams_delivered(), 0u);
+  for (int fd : clients) ::close(fd);
 }
 
 // --- Endpoint stack over the wire ----------------------------------------

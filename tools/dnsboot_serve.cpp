@@ -2,27 +2,31 @@
 // UDP/TCP sockets (DESIGN.md §10).
 //
 // The ecosystem is built from --seed / --scale-denom exactly as
-// dnsboot-survey builds it, each nameserver address is mapped to a
-// sequential loopback port above --listen, and every AuthServer — with its
+// dnsboot-survey builds it, nameserver address N is mapped to the loopback
+// address HOST+N at the --listen port, and every AuthServer — with its
 // behaviour profile and fault gates intact — is re-attached to a
-// WireTransport. A dnsboot-survey --wire run started with the same seed
+// WireTransport, which serves every address from one UDP socket and one
+// TCP listener. A dnsboot-survey --wire run started with the same seed
 // derives the identical map and scans this process over the kernel's
 // loopback stack:
 //
 //   dnsboot-serve  --scale-denom 20000 --seed 7 --listen 127.0.0.1:5300 &
 //   dnsboot-survey --scale-denom 20000 --seed 7 --wire 127.0.0.1:5300
 //
-// With --workers N, N threads each build their own world copy and bind the
-// same ports with SO_REUSEPORT (share-nothing: the kernel spreads flows, no
-// locks anywhere). --chaos injects the deterministic server-side fault
-// schedule (slow/flapping/rate-limited servers); link-level faults live in
-// the simulator and do not apply to real sockets.
+// With --workers N, N threads each build their own world copy and open their
+// own socket pair on the same port with SO_REUSEPORT (share-nothing: the
+// kernel spreads flows by client address and port, no locks anywhere).
+// HOST must be in 127.0.0.0/8 and the map must end below 127.255.255.255;
+// otherwise the tool exits 2. --chaos injects the deterministic server-side
+// fault schedule (slow/flapping/rate-limited servers); link-level faults
+// live in the simulator and do not apply to real sockets.
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,7 +63,8 @@ cli::FlagParser make_parser(CliOptions* options) {
                "world scale divisor (zones ~ 1/N of the paper's)", 1e-9);
   parser.value("--seed", &options->seed, "ecosystem seed");
   parser.value("--listen", &options->listen, "HOST:PORT",
-               "base endpoint; nameserver N serves at PORT+N");
+               "base endpoint; nameserver N serves at HOST+N:PORT, HOST in "
+               "127.0.0.0/8");
   parser.value("--workers", &options->workers,
                "SO_REUSEPORT worker threads, one world copy each", 1);
   parser.flag("--no-pathologies", &options->pathologies,
@@ -102,32 +107,28 @@ void handle_signal(int) {
   for (net::WireTransport* transport : g_transports) transport->stop();
 }
 
-// Build one worker's world and bind its sockets. Returns false (with
-// `error` set) when anything fails; safe to call concurrently. Workers stay
-// share-nothing on purpose — AuthServer fault gates, token buckets, and
-// metrics are mutable per-worker state, and wire scale is bounded by port
-// space long before world copies dominate memory — but the immutable
+// Build one worker's world and bind its sockets. Returns 0, or the exit
+// code with `error` set: 2 when the world does not fit the loopback range
+// above `base`, 1 when binding fails. Safe to call concurrently. Workers
+// stay share-nothing on purpose — AuthServer fault gates, token buckets,
+// and metrics are mutable per-worker state — but the immutable
 // EcosystemPlan is computed once and read by every concurrent build.
-bool setup_worker(const CliOptions& options, const ecosystem::WorldSpec& spec,
-                  const ecosystem::EcosystemPlan& plan, Worker* worker,
-                  std::string* error) {
+int setup_worker(const CliOptions& options, const net::RealEndpoint& base,
+                 const ecosystem::WorldSpec& spec,
+                 const ecosystem::EcosystemPlan& plan, Worker* worker,
+                 std::string* error) {
   // The same spec as dnsboot-survey's build (seeded_spec), so both
   // processes construct bit-identical worlds.
   worker->world = ecosystem::build_world(spec, plan, 0, 1);
 
-  auto base = net::parse_endpoint(options.listen);
-  if (!base) {
-    *error = "--listen requires HOST:PORT, got '" + options.listen + "'";
-    return false;
-  }
-  net::WireAddressMap map(*base);
+  net::WireAddressMap map(base);
   for (const auto& server : worker->world.eco.servers) {
     for (const auto& address : server->addresses()) {
       if (!map.add(address)) {
-        *error = "world needs " + std::to_string(map.size()) +
-                 " ports above " + std::to_string(base->port) +
-                 "; pick a lower --listen port or a smaller scale";
-        return false;
+        *error = "the world's nameserver addresses run past 127.255.255.254 "
+                 "from --listen " + options.listen +
+                 "; pick a lower host or a smaller scale";
+        return 2;
       }
     }
   }
@@ -143,9 +144,9 @@ bool setup_worker(const CliOptions& options, const ecosystem::WorldSpec& spec,
   }
   if (!worker->transport->error().empty()) {
     *error = "bind failed: " + worker->transport->error();
-    return false;
+    return 1;
   }
-  return true;
+  return 0;
 }
 
 // One merged snapshot of every worker's observable state: the wire
@@ -174,15 +175,27 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 2;
   if (parser.help_requested()) return 0;
 
+  const std::optional<net::RealEndpoint> base =
+      net::parse_endpoint(options.listen);
+  if (!base || !net::is_loopback(base->host)) {
+    std::fprintf(stderr,
+                 "dnsboot-serve: --listen requires HOST:PORT with HOST in "
+                 "127.0.0.0/8 (nameserver N serves at HOST+N:PORT), got "
+                 "'%s'\n",
+                 options.listen.c_str());
+    return 2;
+  }
+
   std::vector<Worker> workers(options.workers);
   std::mutex error_mutex;
   std::string first_error;
-  std::atomic<std::size_t> failures{0};
+  int first_code = 0;
 
   // Every worker builds its own identical world copy (the builds are
-  // deterministic in --seed) and binds the same ports via SO_REUSEPORT, so
-  // the serving threads share no mutable state at all. Only the plan — the
-  // immutable half of world construction — is shared across the builds.
+  // deterministic in --seed) and opens its own socket pair on the same port
+  // via SO_REUSEPORT, so the serving threads share no mutable state at all.
+  // Only the plan — the immutable half of world construction — is shared
+  // across the builds.
   ecosystem::WorldSpec spec =
       ecosystem::seeded_spec(options.seed, 1.0 / options.scale_denom);
   spec.config.inject_pathologies = options.pathologies;
@@ -194,32 +207,36 @@ int main(int argc, char** argv) {
     std::vector<std::thread> builders;
     builders.reserve(workers.size());
     for (Worker& worker : workers) {
-      builders.emplace_back([&options, &spec, &plan, &worker, &error_mutex,
-                             &first_error, &failures] {
+      builders.emplace_back([&options, &base, &spec, &plan, &worker,
+                             &error_mutex, &first_error, &first_code] {
         std::string error;
-        if (!setup_worker(options, spec, plan, &worker, &error)) {
-          failures.fetch_add(1);
+        const int code =
+            setup_worker(options, *base, spec, plan, &worker, &error);
+        if (code != 0) {
           std::lock_guard<std::mutex> lock(error_mutex);
-          if (first_error.empty()) first_error = std::move(error);
+          if (first_code == 0) {
+            first_code = code;
+            first_error = std::move(error);
+          }
         }
       });
     }
     for (std::thread& thread : builders) thread.join();
   }
-  if (failures.load() != 0) {
+  if (first_code != 0) {
     std::fprintf(stderr, "dnsboot-serve: %s\n", first_error.c_str());
-    return 1;
+    return first_code;
   }
 
   const net::WireAddressMap& map = workers[0].transport->address_map();
   if (!options.output.quiet) {
     std::printf(
         "dnsboot-serve: %zu zones on %zu servers, %zu endpoints at "
-        "%s..%u, %zu worker(s)%s\n",
+        "%s..%s, %zu worker(s)%s\n",
         workers[0].world.eco.truth.size(),
         workers[0].world.eco.servers.size(),
         map.size(), map.base().to_text().c_str(),
-        static_cast<unsigned>(map.base().port + map.size() - 1),
+        map.size() > 0 ? map.entries().back().second.to_text().c_str() : "-",
         workers.size(),
         options.chaos != "off" ? (", chaos " + options.chaos).c_str() : "");
   }

@@ -105,7 +105,7 @@ cli::FlagParser make_parser(CliOptions* options) {
                "write throughput metrics as bench JSON");
   parser.value("--wire", &options->wire, "HOST:PORT",
                "scan over real sockets against dnsboot-serve at this base "
-               "endpoint");
+               "endpoint (nameserver N at HOST+N:PORT)");
   parser.value("--qps", &options->qps,
                "per-nameserver query rate (default: the paper's 50; wire "
                "scans run in real time, so pacing bounds wall clock)",
@@ -124,8 +124,10 @@ int main(int argc, char** argv) {
   std::optional<net::RealEndpoint> wire_base;
   if (!options.wire.empty()) {
     wire_base = net::parse_endpoint(options.wire);
-    if (!wire_base) {
-      std::fprintf(stderr, "--wire requires HOST:PORT, got '%s'\n",
+    if (!wire_base || !net::is_loopback(wire_base->host)) {
+      std::fprintf(stderr,
+                   "--wire requires HOST:PORT with HOST in 127.0.0.0/8 "
+                   "(nameserver N serves at HOST+N:PORT), got '%s'\n",
                    options.wire.c_str());
       return 2;
     }
@@ -271,16 +273,17 @@ int main(int argc, char** argv) {
     // Real-socket scan: derive the same virtual→real map dnsboot-serve
     // derived from this seed, then run the identical pipeline over a wire
     // transport. Nothing serves locally — queries cross the kernel to the
-    // serve process at the mapped loopback ports.
+    // serve process at the mapped loopback addresses.
     net::WireAddressMap map(*wire_base);
     for (const auto& server : first_world.eco.servers) {
       for (const auto& address : server->addresses()) {
         if (!map.add(address)) {
           std::fprintf(stderr,
-                       "world needs %zu ports above %u; pick a lower --wire "
-                       "port or a smaller scale\n",
-                       map.size(), wire_base->port);
-          return 1;
+                       "the world's nameserver addresses run past "
+                       "127.255.255.254 from --wire %s; pick a lower host "
+                       "or a smaller scale\n",
+                       options.wire.c_str());
+          return 2;
         }
       }
     }
